@@ -17,12 +17,19 @@ from the received array alone whether the deleted column was the last
 one.
 
 Arrays are lists of row lists; positions are 1-based in the public API.
+
+Input is checked once, at the public boundary: `first_violation`,
+`encode`, `decode` and `recover_data` check the shape and alphabet of
+what they are given, and the helpers they call assume valid input.  The
+decoder still runs the full `first_violation` on its output, which is
+what guarantees that it never returns a non-codeword.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Sequence
 
 from . import rll_suffix, vt_core
 from .errors import DecodingError, EncodingError, NotDecodableError
@@ -85,22 +92,26 @@ class ArrayDecodeTrace(NamedTuple):
     col_values: list[int]
 
 
+@lru_cache
 def first_row_params(params: CodeParams) -> RllSuffixParams:
     """1-D code protecting the first row."""
     return RllSuffixParams(params.n - 2, 2, params.q, 0, (0, 2))
 
 
+@lru_cache
 def last_column_params(params: CodeParams) -> RllSuffixParams:
     """1-D code protecting the reversed last column."""
     return RllSuffixParams(params.n - 3, 3, params.q, 0, (0, 1, 2))
 
 
-def _check_array(X: Sequence[Sequence[int]], rows: int, cols: int, q: int) -> None:
+def _check_array(
+    X: Sequence[Sequence[int]], rows: int, cols: int, q: int
+) -> list[Sequence[int]]:
+    """The rows of X as plain ints; raises unless X is a rows x cols array over the alphabet."""
     if len(X) != rows or any(len(r) != cols for r in X):
         shape = f"{len(X)}x{len(X[0]) if X else 0}"
         raise ValueError(f"expected a {rows}x{cols} array, got {shape}")
-    for i, row in enumerate(X):
-        vt_core.check_symbols(row, q, f"row {i + 1}")
+    return [vt_core.check_symbols(row, q, f"row {i}") for i, row in enumerate(X, start=1)]
 
 
 def reversed_last_column(X: Sequence[Sequence[int]]) -> list[int]:
@@ -108,23 +119,71 @@ def reversed_last_column(X: Sequence[Sequence[int]]) -> list[int]:
     return [row[-1] for row in reversed(X)]
 
 
-def first_violation(X: Sequence[Sequence[int]], params: CodeParams) -> str | None:
-    """Name of the first violated codeword condition, or None if valid."""
+def _parity(sums: Iterable[int], q: int) -> list[int]:
+    """The entries that bring each of the given sums to 0 (mod q)."""
+    return [-s % q for s in sums]
+
+
+def _message_slices(n: int) -> list[tuple[int, int, int]]:
+    """Message cells in message order, as 0-based (row, start column, end column).
+
+    They are the interior cells, rows and columns 1..n-2, except the two
+    marker cells next to the last column in rows 1 and 2.
+    """
+    return [(1, 1, n - 2), (2, 1, n - 2)] + [(i, 1, n - 1) for i in range(3, n - 1)]
+
+
+def _assemble(
+    u: Sequence[int], v: Sequence[int], cells: Sequence[int], params: CodeParams
+) -> Array:
+    """The codeword with first row u, reversed last column v and these message cells.
+
+    The markers are placed, then the parity entries complete the last row
+    first and the first column second: the first-column parities depend
+    on the completed last row.
+    """
     n, q = params.n, params.q
-    _check_array(X, n, n, q)
+    X: Array = [[0] * n for _ in range(n)]
+    X[0] = list(u)
+    for row, symbol in zip(X, reversed(v)):
+        row[-1] = symbol
+    X[1][n - 2] = 1
+    X[2][n - 2] = 2
+    start = 0
+    for r, a, b in _message_slices(n):
+        X[r][a:b] = cells[start : start + b - a]
+        start += b - a
+    X[-1][1:-1] = _parity(list(map(sum, zip(*X[:-1])))[1:-1], q)
+    # The first-column entries below the first row are still 0 here.
+    for row, value in zip(X[1:], _parity(map(sum, X[1:]), q)):
+        row[0] = value
+    return X
+
+
+def _violation(X: Sequence[Sequence[int]], params: CodeParams) -> str | None:
+    """first_violation for an array already known to have the right shape and alphabet."""
+    n, q = params.n, params.q
     if not rll_suffix.is_member(X[0], first_row_params(params)):
         return "condition 1: first row is not a protected 1-D codeword"
     if not rll_suffix.is_member(reversed_last_column(X), last_column_params(params)):
         return "condition 2: reversed last column is not a protected 1-D codeword"
     if X[1][n - 2] != 1 or X[2][n - 2] != 2:
         return "condition 3: marker entries next to the last column are wrong"
-    for i in range(1, n):
-        if sum(X[i]) % q != 0:
+    for i, total in enumerate(map(sum, X)):
+        if i > 0 and total % q != 0:
             return f"condition 4: row {i + 1} does not sum to 0 (mod q)"
-    for j in range(1, n - 1):
-        if sum(X[i][j] for i in range(n)) % q != 0:
+    for j, total in enumerate(map(sum, zip(*X))):
+        if 0 < j < n - 1 and total % q != 0:
             return f"condition 5: column {j + 1} does not sum to 0 (mod q)"
     return None
+
+
+def first_violation(X: Sequence[Sequence[int]], params: CodeParams) -> str | None:
+    """Name of the first violated codeword condition, or None if valid.
+
+    Raises ValueError unless X is an n x n array over the alphabet.
+    """
+    return _violation(_check_array(X, params.n, params.n, params.q), params)
 
 
 def is_codeword(X: Sequence[Sequence[int]], params: CodeParams) -> bool:
@@ -136,7 +195,7 @@ def check_zero_sums(X: Sequence[Sequence[int]], q: int) -> bool:
     """True iff every row and every column of X sums to 0 (mod q)."""
     if any(sum(row) % q != 0 for row in X):
         return False
-    return all(sum(row[j] for row in X) % q == 0 for j in range(len(X[0]) if X else 0))
+    return all(total % q == 0 for total in map(sum, zip(*X)))
 
 
 def corrupt(X: Sequence[Sequence[int]], i: int, j: int) -> Array:
@@ -187,12 +246,7 @@ def message_lengths(params: CodeParams, allow_unproven: bool = False) -> Message
         raise ValueError(
             f"parameters n={n}, q={q} leave no data room in the protected row/column"
         )
-    capacity = (q - 1) ** (k1 + k2)
-    k3 = 0
-    power = q
-    while power <= capacity:
-        k3 += 1
-        power *= q
+    k3 = int_log_floor(q, (q - 1) ** (k1 + k2))
     return MessageLengths(k1, k2, k3, n * n - 4 * n + 2 + k3)
 
 
@@ -203,42 +257,21 @@ def encode_with_trace(
 
     The first k3 symbols are packed into an integer, re-expanded in base
     q-1 and spread over the protected first row and last column; the
-    rest fill the array interior directly.  Parity entries complete the
-    last row first and the first column second -- the first-column
-    parities depend on the completed last row.
+    rest fill the array interior directly, and parity entries complete it.
     """
     n, q = params.n, params.q
     ml = message_lengths(params, allow_unproven)
     if len(data) != ml.total:
         raise ValueError(f"expected {ml.total} data symbols, got {len(data)}")
-    vt_core.check_symbols(data, q, "data")
+    data = vt_core.check_symbols(data, q, "data")
 
     packed = from_digits(data[: ml.k3], q)
     digits = to_digits(packed, q - 1, ml.k1 + ml.k2)
     u = rll_suffix.encode(digits[: ml.k1], first_row_params(params), allow_unproven)
     v = rll_suffix.encode(digits[ml.k1 :], last_column_params(params), allow_unproven)
 
-    X: Array = [[0] * n for _ in range(n)]
-    X[0] = list(u)
-    for r in range(n):
-        X[r][n - 1] = v[n - 1 - r]
-    X[1][n - 2] = 1
-    X[2][n - 2] = 2
-
-    k3 = ml.k3
-    for j in range(2, n - 1):
-        X[1][j - 1] = data[k3 + j - 2]
-        X[2][j - 1] = data[k3 + j + n - 5]
-    for i in range(4, n):
-        for j in range(2, n):
-            X[i - 1][j - 1] = data[k3 + (n - 2) * i + j - 2 * n]
-
-    for j in range(2, n):
-        X[n - 1][j - 1] = -sum(X[i][j - 1] for i in range(n - 1)) % q
-    for i in range(2, n + 1):
-        X[i - 1][0] = -sum(X[i - 1][1:]) % q
-
-    violation = first_violation(X, params)
+    X = _assemble(u, v, data[ml.k3 :], params)
+    violation = _violation(X, params)
     if violation is not None:
         if allow_unproven:
             raise EncodingError(
@@ -267,16 +300,15 @@ def decode_with_trace(
     codeword conditions before being returned.
     """
     n, q = params.n, params.q
-    _check_array(Y, n - 1, n - 1, q)
-    work = [list(row) for row in Y]
+    work = [list(row) for row in _check_array(Y, n - 1, n - 1, q)]
 
     # The fixed entries next to the top right corner make the pair
     # (Y[1][n-1], Y[2][n-1]) increase exactly when the deleted column
     # was the last one.
     column_restored = work[0][-1] < work[1][-1]
     if column_restored:
-        for row in work:
-            row.append(-sum(row) % q)
+        for row, value in zip(work, _parity(map(sum, work), q)):
+            row.append(value)
 
     column_word = [row[-1] for row in reversed(work)]
     try:
@@ -284,7 +316,7 @@ def decode_with_trace(
     except DecodingError as exc:
         raise NotDecodableError(f"cannot locate the deleted row: {exc}") from exc
     row_index = n - v_result.position + 1
-    row_values = [-sum(work[r][c] for r in range(n - 1)) % q for c in range(len(work[0]))]
+    row_values = _parity(map(sum, zip(*work)), q)
     work.insert(row_index - 1, row_values)
 
     if column_restored:
@@ -296,7 +328,7 @@ def decode_with_trace(
         except DecodingError as exc:
             raise NotDecodableError(f"cannot locate the deleted column: {exc}") from exc
         col_index = u_result.position
-        col_values = [-sum(row) % q for row in work]
+        col_values = _parity(map(sum, work), q)
         for row, value in zip(work, col_values):
             row.insert(col_index - 1, value)
 
@@ -326,7 +358,8 @@ def recover_data(
     """Read the message symbols back out of a codeword (inverse of encode)."""
     n, q = params.n, params.q
     ml = message_lengths(params, allow_unproven)
-    violation = first_violation(X, params)
+    X = _check_array(X, n, n, q)
+    violation = _violation(X, params)
     if violation is not None:
         raise ValueError(f"input is not a codeword: {violation}")
 
@@ -338,13 +371,7 @@ def recover_data(
             "protected row/column carry a value outside the encoder image"
         )
 
-    data = [0] * ml.total
-    data[: ml.k3] = to_digits(packed, q, ml.k3)
-    k3 = ml.k3
-    for j in range(2, n - 1):
-        data[k3 + j - 2] = X[1][j - 1]
-        data[k3 + j + n - 5] = X[2][j - 1]
-    for i in range(4, n):
-        for j in range(2, n):
-            data[k3 + (n - 2) * i + j - 2 * n] = X[i - 1][j - 1]
+    data = to_digits(packed, q, ml.k3)
+    for r, a, b in _message_slices(n):
+        data += X[r][a:b]
     return data

@@ -19,6 +19,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import vt_core
+
 KINDS = ("array", "received", "data")
 
 
@@ -46,12 +48,11 @@ class ArrayFile:
         if self.kind == "data":
             if self.rows is not None or self.symbols is None:
                 raise ValueError('kind "data" carries "symbols", not "rows"')
-            object.__setattr__(self, "symbols", tuple(self.symbols))
-            self._check_symbols(self.symbols, "symbols")
+            symbols = vt_core.check_symbols(self.symbols, self.q, "symbols")
+            object.__setattr__(self, "symbols", tuple(symbols))
         else:
             if self.symbols is not None or self.rows is None:
                 raise ValueError(f'kind "{self.kind}" carries "rows", not "symbols"')
-            object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
             dim = self.n if self.kind == "array" else self.n - 1
             if len(self.rows) != dim or any(len(r) != dim for r in self.rows):
                 shape = f"{len(self.rows)}x{len(self.rows[0]) if self.rows else 0}"
@@ -59,13 +60,11 @@ class ArrayFile:
                     f'kind "{self.kind}" with n={self.n} needs a {dim}x{dim} '
                     f"matrix, got {shape}"
                 )
-            for i, row in enumerate(self.rows):
-                self._check_symbols(row, f"rows[{i}]")
-
-    def _check_symbols(self, values: tuple[int, ...], name: str) -> None:
-        for i, v in enumerate(values):
-            if not _is_int(v) or not 0 <= v < self.q:
-                raise ValueError(f"{name}[{i}] = {v!r} is outside the alphabet [0, {self.q})")
+            rows = tuple(
+                tuple(vt_core.check_symbols(row, self.q, f"rows[{i}]"))
+                for i, row in enumerate(self.rows)
+            )
+            object.__setattr__(self, "rows", rows)
 
     def row_lists(self) -> list[list[int]]:
         """Rows as mutable lists (the shape codec functions expect)."""

@@ -57,7 +57,7 @@ class RllSuffixParams:
             raise ValueError(f"suffix length must be >= 1, got m={self.m}")
         if len(self.b) != self.m:
             raise ValueError(f"suffix has length {len(self.b)}, expected m={self.m}")
-        vt_core.check_symbols(self.b, self.q, "suffix")
+        object.__setattr__(self, "b", tuple(vt_core.check_symbols(self.b, self.q, "suffix")))
         if not vt_core.adjacent_distinct(self.b):
             raise ValueError(f"suffix {self.b} has equal adjacent symbols")
         if not 0 <= self.a < self.q * (self.n + self.m):

@@ -60,36 +60,20 @@ class SelfTestReport:
 def _structural_codewords(n: int, q: int) -> list[tuple[tuple[int, ...], ...]]:
     """Every codeword at (n, q), assembled from its independent parts.
 
-    Valid first rows, valid reversed last columns and free interior
-    cells are independent; the remaining first-column and last-row
-    entries are forced by the parity conditions.
+    Valid first rows, valid reversed last columns and free message cells
+    are independent; the remaining first-column and last-row entries are
+    forced by the parity conditions.
     """
     params = CodeParams(n, q)
     _, u_rows = analysis.protected_row_count(n, q, (0, 2), collect=True)
     _, v_rows = analysis.protected_row_count(n, q, (0, 1, 2), collect=True)
     assert u_rows is not None and v_rows is not None
-    free = [
-        (i, j)
-        for i in range(1, n - 1)
-        for j in range(1, n - 1)
-        if (i, j) not in ((1, n - 2), (2, n - 2))
-    ]
+    cells = (n - 2) ** 2 - 2
     words = []
     for u in u_rows:
         for v in v_rows:
-            for fill in itertools.product(range(q), repeat=len(free)):
-                X = [[0] * n for _ in range(n)]
-                X[0] = list(u)
-                for r in range(n):
-                    X[r][n - 1] = v[n - 1 - r]
-                X[1][n - 2] = 1
-                X[2][n - 2] = 2
-                for (i, j), value in zip(free, fill):
-                    X[i][j] = value
-                for j in range(1, n - 1):
-                    X[n - 1][j] = -sum(X[i][j] for i in range(n - 1)) % q
-                for i in range(1, n):
-                    X[i][0] = -sum(X[i][1:]) % q
+            for fill in itertools.product(range(q), repeat=cells):
+                X = crisscross._assemble(u, v, fill, params)
                 assert crisscross.is_codeword(X, params)
                 words.append(tuple(tuple(row) for row in X))
     return words

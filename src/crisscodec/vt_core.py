@@ -15,9 +15,12 @@ parameter objects.  Positions in the public API are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple, Sequence
 
 from .errors import AmbiguousCodewordError, NoCandidateError
+
+_PLAIN_INT = frozenset({int})
 
 
 @dataclass(frozen=True)
@@ -55,11 +58,21 @@ class DeletionDecode(NamedTuple):
     position: int
 
 
-def check_symbols(x: Sequence[int], q: int, name: str = "sequence") -> None:
-    """Raise ValueError unless every symbol of x lies in {0, ..., q-1}."""
+def check_symbols(x: Sequence[int], q: int, name: str = "sequence") -> Sequence[int]:
+    """Return x as plain ints, raising ValueError unless every symbol lies in {0, ..., q-1}.
+
+    A sequence of plain ints is returned as it is.  Other integer types
+    (numpy integers, say) are coerced to int in a new list; bool is
+    rejected.  The error names the first bad entry.
+    """
+    if set(map(type, x)) <= _PLAIN_INT and min(x, default=0) >= 0 and max(x, default=0) < q:
+        return x
+    symbols = []
     for i, s in enumerate(x):
-        if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < q:
+        if not isinstance(s, Integral) or isinstance(s, bool) or not 0 <= s < q:
             raise ValueError(f"{name}[{i}] = {s!r} is outside the alphabet [0, {q})")
+        symbols.append(int(s))
+    return symbols
 
 
 def diff(x: Sequence[int], q: int) -> list[int]:
@@ -99,7 +112,7 @@ def is_dvt_member(x: Sequence[int], params: DvtParams) -> bool:
     """Membership test for DVT_a(n; q); raises on wrong length or alphabet."""
     if len(x) != params.n:
         raise ValueError(f"expected a sequence of length {params.n}, got {len(x)}")
-    check_symbols(x, params.q)
+    x = check_symbols(x, params.q)
     return syndrome(diff(x, params.q)) % params.modulus == params.a
 
 
@@ -135,9 +148,8 @@ def _deletion_candidates(received: Sequence[int], params: DvtParams) -> list[lis
     n, q, a = params.n, params.q, params.a
     if len(received) != n - 1:
         raise ValueError(f"expected a received word of length {n - 1}, got {len(received)}")
-    check_symbols(received, q, "received")
     modulus = params.modulus
-    w = list(received)
+    w = list(check_symbols(received, q, "received"))
     z = diff(w, q) if w else []
     syn = syndrome(z)
 
@@ -226,7 +238,7 @@ def decode_insertion(received: Sequence[int], params: DvtParams) -> list[int]:
         raise ValueError(
             f"expected a received word of length {params.n + 1}, got {len(received)}"
         )
-    check_symbols(received, params.q, "received")
+    received = check_symbols(received, params.q, "received")
     seen: dict[tuple[int, ...], list[int]] = {}
     for d in range(len(received)):
         cand = list(received[:d]) + list(received[d + 1 :])

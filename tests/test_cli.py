@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import GOLDEN_ARRAY, GOLDEN_DATA, GOLDEN_RECEIVED_9_9
+import crisscodec
 from crisscodec import fileio, selftest
 from crisscodec.cli import main
 from crisscodec.fileio import ArrayFile
@@ -234,3 +238,16 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert "2097152" in proc.stdout
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(crisscodec.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "crisscodec", "--help"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: crisscodec")

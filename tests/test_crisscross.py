@@ -17,7 +17,7 @@ from conftest import (
     build_structural_codeword,
     enumerate_protected_words,
 )
-from crisscodec import crisscross, rll_suffix
+from crisscodec import crisscross, rll_suffix, vt_core
 from crisscodec.crisscross import CodeParams
 from crisscodec.errors import DecodingError, NotDecodableError
 from crisscodec.fixtures import SMALL_PAIR_FIRST, SMALL_PAIR_SECOND
@@ -276,6 +276,63 @@ class TestDecode:
         for Y in ([[0] * 3] * 3, [[1, 2, 3], [4, 5, 6], [0, 1, 2]]):
             with pytest.raises(DecodingError):
                 crisscross.decode([list(r) for r in Y], params)
+
+
+class TestInputBoundary:
+    """Each public array call checks its input once; numpy integers are accepted."""
+
+    def test_numpy_integers_round_trip_as_plain_ints(self):
+        X = crisscross.encode(np.array(GOLDEN_DATA), GOLDEN_PARAMS, allow_unproven=True)
+        decoded = crisscross.decode(np.array(GOLDEN_RECEIVED_9_9), GOLDEN_PARAMS)
+        data = crisscross.recover_data(np.array(GOLDEN_ARRAY), GOLDEN_PARAMS, allow_unproven=True)
+        assert X == decoded == GOLDEN_ARRAY and data == GOLDEN_DATA
+        for value in [*data, *(v for row in X + decoded for v in row)]:
+            assert type(value) is int
+
+    def test_out_of_alphabet_entries_are_named(self):
+        Y = np.array(GOLDEN_RECEIVED_9_9)
+        Y[2][5] = 7
+        message = r"^row 3\[5\] = np\.int64\(7\) is outside the alphabet \[0, 7\)$"
+        with pytest.raises(ValueError, match=message):
+            crisscross.decode(Y, GOLDEN_PARAMS)
+        X = [list(row) for row in GOLDEN_ARRAY]
+        X[4][0] = True
+        with pytest.raises(ValueError, match=r"^row 5\[0\] = True is outside"):
+            crisscross.recover_data(X, GOLDEN_PARAMS, allow_unproven=True)
+
+    def test_each_input_row_is_scanned_once(self, monkeypatch):
+        # Array-level scans are named "row i" or "data".  The first row and
+        # the last column are checked again, as 1-D words, by the public
+        # rll_suffix functions; that is one O(n) scan each.
+        scanned = []
+        real = vt_core.check_symbols
+
+        def spy(x, q, name="sequence"):
+            if name == "data" or name.startswith("row "):
+                scanned.append(x)
+            return real(x, q, name)
+
+        monkeypatch.setattr(vt_core, "check_symbols", spy)
+        data = list(GOLDEN_DATA)
+        Y = [list(r) for r in GOLDEN_RECEIVED_9_9]
+        X = [list(r) for r in GOLDEN_ARRAY]
+        for call, inputs in (
+            (lambda: crisscross.encode(data, GOLDEN_PARAMS, allow_unproven=True), [data]),
+            (lambda: crisscross.decode(Y, GOLDEN_PARAMS), Y),
+            (lambda: crisscross.recover_data(X, GOLDEN_PARAMS, allow_unproven=True), X),
+        ):
+            scanned.clear()
+            call()
+            assert [sum(s is x for s in scanned) for x in inputs] == [1] * len(inputs)
+
+    def test_final_check_catches_a_wrong_parity_rebuild(self, monkeypatch):
+        real = crisscross._parity
+        monkeypatch.setattr(
+            crisscross, "_parity", lambda sums, q: [(v + 1) % q for v in real(sums, q)]
+        )
+        Y = crisscross.corrupt(GOLDEN_ARRAY, 5, 4)
+        with pytest.raises(NotDecodableError, match="^reconstructed array is not a codeword"):
+            crisscross.decode(Y, GOLDEN_PARAMS)
 
 
 class TestRecoverData:
