@@ -55,9 +55,9 @@ class AnalysisRow:
     gap: float
 
 
-def analysis_row(n: int, q: int, allow_unproven: bool = False) -> AnalysisRow:
+def analysis_row(n: int, q: int) -> AnalysisRow:
     """Redundancy row at (n, q); bounds are floats, the rest exact ints."""
-    ml = crisscross.message_lengths(CodeParams(n, q), allow_unproven)
+    ml = crisscross.message_lengths(CodeParams(n, q))
     redundancy = 4 * n - 2 - ml.k3
     log_q = math.log(q)
     lower = 2 * n + 2 * math.log(n) / log_q - 3
@@ -67,11 +67,9 @@ def analysis_row(n: int, q: int, allow_unproven: bool = False) -> AnalysisRow:
     )
 
 
-def analyze_range(
-    n_values: range | list[int], q_values: list[int], allow_unproven: bool = False
-) -> list[AnalysisRow]:
+def analyze_range(n_values: range | list[int], q_values: list[int]) -> list[AnalysisRow]:
     """Redundancy rows over a grid of dimensions and alphabet sizes."""
-    return [analysis_row(n, q, allow_unproven) for n in n_values for q in q_values]
+    return [analysis_row(n, q) for n in n_values for q in q_values]
 
 
 def bounds_hold(row: AnalysisRow, slack: float = 1e-9) -> bool:
@@ -158,7 +156,17 @@ def protected_row_count(
 
 
 def _count_bruteforce(n: int, q: int) -> tuple[int, int, int]:
-    """Count codewords by enumerating every q^(n^2) array."""
+    """Count codewords by enumerating every q^(n^2) array.
+
+    Each codeword condition tests one linear form of the cells (numbered
+    row-major): the base-q codes of the first row and of the reversed
+    last column, the two marker cells, and the row and column sums mod q.
+    The arrays are taken in mixed-radix chunks: the low cells run through
+    a precomputed table of all their values and the high cells are
+    constant within a chunk.  A form is then the table's share plus a
+    shift fixed per chunk, so each condition tests the table's share
+    against its target moved by that shift.
+    """
     cells = n * n
     total = q**cells
     if total > ENUMERATION_GUARD:
@@ -168,36 +176,32 @@ def _count_bruteforce(n: int, q: int) -> tuple[int, int, int]:
     u_count, u_rows = protected_row_count(n, q, (0, 2), collect=True)
     v_count, v_rows = protected_row_count(n, q, (0, 1, 2), collect=True)
     assert u_rows is not None and v_rows is not None
-    powers_n = [q**k for k in range(n)]
-    u_codes = np.array(
-        sorted(sum(s * powers_n[k] for k, s in enumerate(row)) for row in u_rows),
-        dtype=np.int64,
-    )
-    v_codes = np.array(
-        sorted(sum(s * powers_n[k] for k, s in enumerate(row)) for row in v_rows),
-        dtype=np.int64,
-    )
+    powers_n = q ** np.arange(n, dtype=np.int64)
+    u_codes = np.array(u_rows, dtype=np.int64).reshape(-1, n) @ powers_n
+    v_codes = np.array(v_rows, dtype=np.int64).reshape(-1, n) @ powers_n
 
-    powers = [q**k for k in range(cells)]
+    forms = np.zeros((cells, 2 * n + 1), dtype=np.int64)
+    forms[:n, 0] = powers_n  # first row
+    forms[n * n - 1 :: -n, 1] = powers_n  # last column, bottom to top
+    forms[2 * n - 2, 2] = 1  # marker cell that must hold 1
+    forms[3 * n - 2, 3] = 1  # marker cell that must hold 2
+    for i in range(1, n):  # rows 2..n
+        forms[i * n : (i + 1) * n, 3 + i] = 1
+    for j in range(1, n - 1):  # columns 2..n-1
+        forms[j::n, 2 + n + j] = 1
+
+    low = min(cells, rll_suffix.int_log_floor(q, 1 << 18))
+    table = np.arange(q**low, dtype=np.int64)[:, None] // q ** np.arange(low) % q
+    low_share = np.ascontiguousarray((table @ forms[:low]).T)  # one row per form
+    low_share[4:] %= q
+    high_powers = q ** np.arange(cells - low, dtype=np.int64)
     count = 0
-    chunk = 1 << 20
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        digits = np.empty((stop - start, cells), dtype=np.int64)
-        for k in range(cells):
-            digits[:, k] = (idx // powers[k]) % q
-        # cell k of a row-major flattening is entry (k // n, k % n)
-        row1_code = sum(digits[:, c] * powers_n[c] for c in range(n))
-        mask = np.isin(row1_code, u_codes)
-        vcol_code = sum(digits[:, (n - 1 - k) * n + n - 1] * powers_n[k] for k in range(n))
-        mask &= np.isin(vcol_code, v_codes)
-        mask &= digits[:, n + n - 2] == 1
-        mask &= digits[:, 2 * n + n - 2] == 2
-        for i in range(1, n):
-            mask &= digits[:, i * n : (i + 1) * n].sum(axis=1) % q == 0
-        for j in range(1, n - 1):
-            mask &= digits[:, j::n].sum(axis=1) % q == 0
+    for high in range(q ** (cells - low)):
+        shift = (high // high_powers % q) @ forms[low:]
+        mask = np.isin(low_share[0], u_codes - shift[0])
+        mask &= np.isin(low_share[1], v_codes - shift[1])
+        mask &= (low_share[2] == 1 - shift[2]) & (low_share[3] == 2 - shift[3])
+        mask &= (low_share[4:] == (-shift[4:] % q)[:, None]).all(axis=0)
         count += int(mask.sum())
     return count, u_count, v_count
 

@@ -42,7 +42,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
             f"but the command line says n={args.n}, q={args.q}"
         )
     params = CodeParams(args.n, args.q)
-    X = crisscross.encode(list(f.symbols or ()), params, args.allow_unproven_parameters)
+    X = crisscross.encode(list(f.symbols or ()), params)
     out = fileio.ArrayFile("array", args.q, args.n, rows=tuple(map(tuple, X)))
     _write_output(fileio.dumps(out), args.out)
     return 0
@@ -68,7 +68,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
 def cmd_recover(args: argparse.Namespace) -> int:
     f = _load(args.infile, "array")
     params = CodeParams(f.n, f.q)
-    data = crisscross.recover_data(f.row_lists(), params, args.allow_unproven_parameters)
+    data = crisscross.recover_data(f.row_lists(), params)
     out = fileio.ArrayFile("data", f.q, f.n, symbols=tuple(data))
     _write_output(fileio.dumps(out), args.out)
     return 0
@@ -91,19 +91,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ValueError(f"--q must be comma-separated integers, got {args.q!r}") from None
     if not q_values or any(q < 3 for q in q_values):
         raise ValueError("every alphabet size must be an integer >= 3")
-    floor_n = (
-        crisscross.MIN_ENCODE_DIMENSION
-        if args.allow_unproven_parameters
-        else crisscross.PROVEN_MIN_DIMENSION
-    )
-    if not floor_n <= args.n_min <= args.n_max <= MAX_ANALYZE_DIMENSION:
+    if not args.n_min <= args.n_max <= MAX_ANALYZE_DIMENSION:
         raise ValueError(
-            f"need {floor_n} <= n-min <= n-max <= {MAX_ANALYZE_DIMENSION}, "
+            f"need n-min <= n-max <= {MAX_ANALYZE_DIMENSION}, "
             f"got [{args.n_min}, {args.n_max}]"
         )
-    rows = analysis.analyze_range(
-        range(args.n_min, args.n_max + 1), q_values, args.allow_unproven_parameters
-    )
+    rows = analysis.analyze_range(range(args.n_min, args.n_max + 1), q_values)
     text = analysis.to_csv(rows) if args.format == "csv" else analysis.to_table(rows)
     _write_output(text, args.out)
     return 0
@@ -138,20 +131,10 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         args.trials,
         seed=args.seed,
         exhaustive_small=args.exhaustive_small,
-        allow_unproven=args.allow_unproven_parameters,
     )
     for line in report.lines():
         print(line)
     return 0 if report.ok else 3
-
-
-def _add_unproven_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--allow-unproven-parameters",
-        action="store_true",
-        help="accept parameters outside the proven encoder range (n in [8, 10]); "
-        "outputs are still validated against the code definition",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--q", type=int, required=True, help="alphabet size")
     sub.add_argument("--data", required=True, help="input data file (kind 'data')")
     sub.add_argument("--out", help="output file (stdout when omitted)")
-    _add_unproven_flag(sub)
     sub.set_defaults(handler=cmd_encode)
 
     sub = subs.add_parser("corrupt", help="delete one row and one column")
@@ -185,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("recover", help="read the message back out of a codeword")
     sub.add_argument("--in", dest="infile", required=True, help="input array file")
     sub.add_argument("--out", help="output file (stdout when omitted)")
-    _add_unproven_flag(sub)
     sub.set_defaults(handler=cmd_recover)
 
     sub = subs.add_parser("verify", help="check an array against the codeword conditions")
@@ -198,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--q", required=True, help="comma-separated alphabet sizes")
     sub.add_argument("--format", choices=("table", "csv"), default="table")
     sub.add_argument("--out", help="output file (stdout when omitted)")
-    _add_unproven_flag(sub)
     sub.set_defaults(handler=cmd_analyze)
 
     sub = subs.add_parser("count", help="count the codewords of one code instance")
@@ -223,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also enumerate all codewords at the smallest parameters and "
         "check their deletion balls are pairwise disjoint",
     )
-    _add_unproven_flag(sub)
     sub.set_defaults(handler=cmd_selftest)
 
     return parser

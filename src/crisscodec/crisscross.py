@@ -35,11 +35,6 @@ from . import rll_suffix, vt_core
 from .errors import DecodingError, EncodingError, NotDecodableError
 from .rll_suffix import RllSuffixParams, from_digits, int_log_floor, to_digits
 
-#: Encoding below this array dimension is outside the proven parameter range.
-PROVEN_MIN_DIMENSION = 11
-#: Smallest dimension at which the encoder layout exists at all.
-MIN_ENCODE_DIMENSION = 8
-
 Array = list[list[int]]
 
 
@@ -224,34 +219,32 @@ def deletion_ball(X: Sequence[Sequence[int]]) -> set[tuple[tuple[int, ...], ...]
     return ball
 
 
-def message_lengths(params: CodeParams, allow_unproven: bool = False) -> MessageLengths:
+def message_lengths(params: CodeParams) -> MessageLengths:
     """Per-component message lengths of the encoder at these parameters.
 
-    Proven for n >= 11; n in [8, 10] is accepted with allow_unproven.
+    The one parameter gate of encode and recover_data: raises ValueError
+    when the layout leaves no data room in the protected row or column
+    (every n < 8), and EncodingError unless rll_suffix.encodable
+    certifies both protected codes.
     """
     n, q = params.n, params.q
-    floor_n = PROVEN_MIN_DIMENSION if not allow_unproven else MIN_ENCODE_DIMENSION
-    if n < floor_n:
-        if allow_unproven:
-            raise ValueError(
-                f"the encoder layout needs n >= {MIN_ENCODE_DIMENSION}, got n={n}"
-            )
-        raise ValueError(
-            f"encoding is proven for n >= {PROVEN_MIN_DIMENSION}, got n={n}; "
-            f"pass allow_unproven=True for n >= {MIN_ENCODE_DIMENSION}"
-        )
     k1 = n - 6 - int_log_floor(q - 1, n - 2)
     k2 = n - 7 - int_log_floor(q - 1, n - 3)
     if k1 < 1 or k2 < 1:
         raise ValueError(
             f"parameters n={n}, q={q} leave no data room in the protected row/column"
         )
+    if not (rll_suffix.encodable(n - 2, 2, q) and rll_suffix.encodable(n - 3, 3, q)):
+        raise EncodingError(
+            f"the encoder is not certified at n={n}, q={q}: a syndrome residue "
+            f"can overflow the power positions of the protected row or column"
+        )
     k3 = int_log_floor(q, (q - 1) ** (k1 + k2))
     return MessageLengths(k1, k2, k3, n * n - 4 * n + 2 + k3)
 
 
 def encode_with_trace(
-    data: Sequence[int], params: CodeParams, allow_unproven: bool = False
+    data: Sequence[int], params: CodeParams
 ) -> tuple[Array, ArrayEncodeTrace]:
     """Encode message_lengths(params).total q-ary symbols, with intermediates.
 
@@ -259,32 +252,28 @@ def encode_with_trace(
     q-1 and spread over the protected first row and last column; the
     rest fill the array interior directly, and parity entries complete it.
     """
-    n, q = params.n, params.q
-    ml = message_lengths(params, allow_unproven)
+    q = params.q
+    ml = message_lengths(params)
     if len(data) != ml.total:
         raise ValueError(f"expected {ml.total} data symbols, got {len(data)}")
     data = vt_core.check_symbols(data, q, "data")
 
     packed = from_digits(data[: ml.k3], q)
     digits = to_digits(packed, q - 1, ml.k1 + ml.k2)
-    u = rll_suffix.encode(digits[: ml.k1], first_row_params(params), allow_unproven)
-    v = rll_suffix.encode(digits[ml.k1 :], last_column_params(params), allow_unproven)
+    u = rll_suffix.encode(digits[: ml.k1], first_row_params(params))
+    v = rll_suffix.encode(digits[ml.k1 :], last_column_params(params))
 
     X = _assemble(u, v, data[ml.k3 :], params)
     violation = _violation(X, params)
     if violation is not None:
-        if allow_unproven:
-            raise EncodingError(
-                f"encoding failed at the unproven parameters n={n}, q={q}: {violation}"
-            )
-        raise AssertionError(f"encoder produced an invalid array: {violation}")
+        raise EncodingError(f"encoder produced an invalid array: {violation}")
     trace = ArrayEncodeTrace(packed, tuple(digits), list(u), list(v))
     return X, trace
 
 
-def encode(data: Sequence[int], params: CodeParams, allow_unproven: bool = False) -> Array:
+def encode(data: Sequence[int], params: CodeParams) -> Array:
     """Encode message_lengths(params).total q-ary symbols into an array."""
-    return encode_with_trace(data, params, allow_unproven)[0]
+    return encode_with_trace(data, params)[0]
 
 
 def decode_with_trace(
@@ -352,12 +341,10 @@ def decode(Y: Sequence[Sequence[int]], params: CodeParams) -> Array:
     return decode_with_trace(Y, params)[0]
 
 
-def recover_data(
-    X: Sequence[Sequence[int]], params: CodeParams, allow_unproven: bool = False
-) -> list[int]:
+def recover_data(X: Sequence[Sequence[int]], params: CodeParams) -> list[int]:
     """Read the message symbols back out of a codeword (inverse of encode)."""
     n, q = params.n, params.q
-    ml = message_lengths(params, allow_unproven)
+    ml = message_lengths(params)
     X = _check_array(X, n, n, q)
     violation = _violation(X, params)
     if violation is not None:

@@ -27,4 +27,11 @@ class NotDecodableError(DecodingError):
 
 
 class EncodingError(CodecError):
-    """Encoding failed outside the proven parameter range."""
+    """The encoder cannot encode at these parameters.
+
+    Raised by crisscross.message_lengths where rll_suffix.encodable
+    cannot certify that every syndrome residue fits the power positions
+    of the protected row and column, by rll_suffix.encode when the
+    residue of one call overflows them, and by crisscross.encode when
+    its output fails the codeword check.
+    """

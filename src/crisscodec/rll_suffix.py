@@ -21,16 +21,12 @@ nonzero, which yields the 1-RLL property after inverting the transform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from . import vt_core
 from .errors import EncodingError, NoCandidateError
 from .vt_core import DvtParams
-
-#: Encoding below this body length is outside the proven parameter range.
-PROVEN_MIN_BODY = 8
-#: Encoding above this suffix length is outside the proven parameter range.
-PROVEN_MAX_SUFFIX = 3
 
 
 @dataclass(frozen=True)
@@ -168,30 +164,47 @@ class EncodeTrace(NamedTuple):
     remainder_digits: tuple[int, ...]  # its base-(q-1) expansion
 
 
-def _check_proven_range(params: RllSuffixParams, allow_unproven: bool) -> None:
-    if allow_unproven:
-        return
-    if params.n < PROVEN_MIN_BODY or params.m > PROVEN_MAX_SUFFIX:
-        raise ValueError(
-            f"body length n={params.n} with suffix length m={params.m} is outside "
-            f"the proven range (n >= {PROVEN_MIN_BODY}, m <= {PROVEN_MAX_SUFFIX}); "
-            f"pass allow_unproven=True to try anyway"
-        )
+def _greedy(residue: int, high: Sequence[int], q: int) -> tuple[tuple[int, ...], int]:
+    """The e-values the greedy pass writes at the high positions, and the remainder it leaves."""
+    greedy = []
+    for j in high:
+        e = min(q - 2, residue // j)
+        greedy.append(e)
+        residue -= e * j
+    return tuple(greedy), residue
+
+
+@lru_cache
+def encodable(n: int, m: int, q: int) -> bool:
+    """True iff encode cannot overflow the power positions at body n, suffix m, alphabet q.
+
+    The greedy remainder depends only on the syndrome residue, so this
+    certifies every residue in [0, q(n+m)), hence every a, suffix and
+    message.  The greedy e-values only ever step up as the residue
+    grows; between steps the remainder grows by 1 per residue, and just
+    before a step at high position j it is j - 1 <= n - 1, which always
+    fits, because the capacity (q-1)^(t+1) exceeds n.  So the remainder
+    can overflow only if it overflows at the largest residue, and one
+    greedy pass decides.  Raises ValueError when the index sets do not
+    exist.
+    """
+    sets = index_sets(n, q)
+    remainder = _greedy(q * (n + m) - 1, sets.high, q)[1]
+    return remainder < (q - 1) ** (sets.t + 1)
 
 
 def encode_with_trace(
-    data: Sequence[int], params: RllSuffixParams, allow_unproven: bool = False
+    data: Sequence[int], params: RllSuffixParams
 ) -> tuple[list[int], EncodeTrace]:
     """Encode data symbols into RLL_DVT_a(n, m; b), returning intermediates.
 
     Data symbols live in {0, ..., q-2}; there are data_length(n, q) of
-    them.  Outside the proven parameter range (opt-in via
-    allow_unproven) the residue left for the power positions may
-    overflow, in which case EncodingError is raised; the output is
-    always validated against is_member before being returned.
+    them.  Where encodable(n, m, q) is False the residue left for the
+    power positions may overflow them, in which case EncodingError is
+    raised; the output is always validated against is_member before
+    being returned.
     """
     n, m, q, a, b = params.n, params.m, params.q, params.a, params.b
-    _check_proven_range(params, allow_unproven)
     sets = index_sets(n, q)
     expected = len(sets.data)
     if len(data) != expected:
@@ -215,24 +228,15 @@ def encode_with_trace(
     reserved_min = sum(sets.power) + sum(sets.high)
     residue = (a - placed - reserved_min) % modulus
 
-    g = residue
-    greedy = []
-    for j in sets.high:
-        e = min(q - 2, g // j)
-        greedy.append(e)
+    greedy, remainder = _greedy(residue, sets.high, q)
+    for j, e in zip(sets.high, greedy):
         y[j] = e + 1
-        g -= e * j
-    remainder = g
 
     limit = (q - 1) ** (sets.t + 1) - 1
     if remainder > limit:
-        if allow_unproven:
-            raise EncodingError(
-                f"residue {remainder} exceeds the power-position capacity {limit} "
-                f"at the unproven parameters n={n}, m={m}, q={q}"
-            )
-        raise AssertionError(
-            f"residue {remainder} exceeds capacity {limit} inside the proven range"
+        raise EncodingError(
+            f"residue {remainder} exceeds the power-position capacity {limit} "
+            f"at n={n}, m={m}, q={q}"
         )
     digits = to_digits(remainder, q - 1, sets.t + 1)
     for i, h in enumerate(digits):
@@ -241,15 +245,13 @@ def encode_with_trace(
     x = vt_core.diff_inverse(y[1:], q)
     if not is_member(x, params):
         raise AssertionError("encoder produced a word outside its own code")
-    trace = EncodeTrace(residue, tuple(greedy), remainder, tuple(digits))
+    trace = EncodeTrace(residue, greedy, remainder, tuple(digits))
     return x, trace
 
 
-def encode(
-    data: Sequence[int], params: RllSuffixParams, allow_unproven: bool = False
-) -> list[int]:
+def encode(data: Sequence[int], params: RllSuffixParams) -> list[int]:
     """Encode data symbols into a codeword of RLL_DVT_a(n, m; b)."""
-    return encode_with_trace(data, params, allow_unproven)[0]
+    return encode_with_trace(data, params)[0]
 
 
 def is_member(x: Sequence[int], params: RllSuffixParams) -> bool:
@@ -277,7 +279,7 @@ def recover_data(x: Sequence[int], params: RllSuffixParams) -> list[int]:
     """Read the data symbols back out of a codeword (inverse of encode)."""
     if not is_member(x, params):
         raise ValueError("input is not a codeword of this code")
-    y = vt_core.diff(x, params.q)
+    y = vt_core.diff(vt_core.check_symbols(x, params.q), params.q)
     sets = index_sets(params.n, params.q)
     data = []
     for pos in sets.data:

@@ -16,15 +16,9 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 from . import analysis, crisscross
 from .crisscross import CodeParams
-
-#: Test-only hook: when set, maps each decoded array to a replacement
-#: before it is compared against the original.  Lets the test suite
-#: confirm that the round-trip check actually notices wrong decodes.
-_decode_tamper_hook: Callable[[list[list[int]]], list[list[int]]] | None = None
 
 #: Parameters of the exhaustive structural enumeration suite.
 EXHAUSTIVE_SMALL = (4, 3)
@@ -85,11 +79,10 @@ def run_selftest(
     trials: int,
     seed: int = 0,
     exhaustive_small: bool = False,
-    allow_unproven: bool = False,
 ) -> SelfTestReport:
     """Run the property suite at (n, q) and report per-suite outcomes."""
     params = CodeParams(n, q)
-    ml = crisscross.message_lengths(params, allow_unproven)
+    ml = crisscross.message_lengths(params)
     rng = random.Random(seed)
     results = []
 
@@ -102,9 +95,9 @@ def run_selftest(
     codewords = []
     for trial in range(trials):
         data = [rng.randrange(q) for _ in range(ml.total)]
-        X = crisscross.encode(data, params, allow_unproven)
+        X = crisscross.encode(data, params)
         codewords.append(X)
-        if crisscross.recover_data(X, params, allow_unproven) != data:
+        if crisscross.recover_data(X, params) != data:
             failures.append(f"recover(encode(data)) != data at trial={trial} seed={seed}")
             continue
         for i in range(1, n + 1):
@@ -123,13 +116,11 @@ def run_selftest(
                         f"trial={trial} i={i} j={j} seed={seed}"
                     )
                     continue
-                if _decode_tamper_hook is not None:
-                    decoded = _decode_tamper_hook(decoded)
                 if decoded != X:
                     failures.append(
                         f"decode mismatch at trial={trial} i={i} j={j} seed={seed}"
                     )
-                elif crisscross.recover_data(decoded, params, allow_unproven) != data:
+                elif crisscross.recover_data(decoded, params) != data:
                     failures.append(
                         f"recovered data mismatch at trial={trial} i={i} j={j} seed={seed}"
                     )

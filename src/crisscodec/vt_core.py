@@ -77,7 +77,7 @@ def check_symbols(x: Sequence[int], q: int, name: str = "sequence") -> Sequence[
 
 def diff(x: Sequence[int], q: int) -> list[int]:
     """Differential transform: y_i = x_i - x_{i+1} (mod q), y_n = x_n."""
-    if not x:
+    if not len(x):
         raise ValueError("cannot transform an empty sequence")
     n = len(x)
     y = [(x[i] - x[i + 1]) % q for i in range(n - 1)]
@@ -87,7 +87,7 @@ def diff(x: Sequence[int], q: int) -> list[int]:
 
 def diff_inverse(y: Sequence[int], q: int) -> list[int]:
     """Inverse of diff: x_i = sum(y_i..y_n) (mod q), x_n = y_n."""
-    if not y:
+    if not len(y):
         raise ValueError("cannot transform an empty sequence")
     x = [0] * len(y)
     x[-1] = y[-1]
@@ -184,18 +184,19 @@ def _deletion_candidates(received: Sequence[int], params: DvtParams) -> list[lis
     return list(candidates.values())
 
 
-def decode_deletion(received: Sequence[int], params: DvtParams) -> DeletionDecode:
-    """Recover the codeword of DVT_a(n; q) that lost one symbol.
-
-    Returns the codeword together with the smallest deletion position
-    consistent with the received word.
-    """
+def _decode_single_deletion(
+    received: Sequence[int], params: DvtParams, rll: bool
+) -> DeletionDecode:
+    """The one candidate codeword, restricted to 1-RLL codewords when rll is set."""
     if params.n < 2:
         raise ValueError("deletion decoding needs a codeword length of at least 2")
     candidates = _deletion_candidates(received, params)
+    if rll:
+        candidates = [c for c in candidates if adjacent_distinct(c)]
     if not candidates:
+        kind = "run-length-limited codeword" if rll else "codeword"
         raise NoCandidateError(
-            f"no codeword of DVT_{params.a}({params.n}; {params.q}) "
+            f"no {kind} of DVT_{params.a}({params.n}; {params.q}) "
             f"yields the received word by one deletion"
         )
     if len(candidates) > 1:
@@ -206,6 +207,15 @@ def decode_deletion(received: Sequence[int], params: DvtParams) -> DeletionDecod
     pos = deletion_index(codeword, received)
     assert pos is not None
     return DeletionDecode(codeword, pos)
+
+
+def decode_deletion(received: Sequence[int], params: DvtParams) -> DeletionDecode:
+    """Recover the codeword of DVT_a(n; q) that lost one symbol.
+
+    Returns the codeword together with the smallest deletion position
+    consistent with the received word.
+    """
+    return _decode_single_deletion(received, params, rll=False)
 
 
 def decode_rll_deletion(received: Sequence[int], params: DvtParams) -> DeletionDecode:
@@ -214,22 +224,7 @@ def decode_rll_deletion(received: Sequence[int], params: DvtParams) -> DeletionD
     For such codewords the deletion position is unique, so `position`
     in the result is exact.
     """
-    if params.n < 2:
-        raise ValueError("deletion decoding needs a codeword length of at least 2")
-    candidates = [c for c in _deletion_candidates(received, params) if adjacent_distinct(c)]
-    if not candidates:
-        raise NoCandidateError(
-            f"no run-length-limited codeword of DVT_{params.a}({params.n}; {params.q}) "
-            f"yields the received word by one deletion"
-        )
-    if len(candidates) > 1:
-        raise AmbiguousCodewordError(
-            f"{len(candidates)} distinct codewords match the received word"
-        )
-    codeword = candidates[0]
-    pos = deletion_index(codeword, received)
-    assert pos is not None
-    return DeletionDecode(codeword, pos)
+    return _decode_single_deletion(received, params, rll=True)
 
 
 def decode_insertion(received: Sequence[int], params: DvtParams) -> list[int]:

@@ -68,30 +68,28 @@ def _best_of(k, fn):
 @criterion("golden-1d-encode")
 def test_acc01_golden_1d_encode():
     params = RllSuffixParams(7, 2, 7, 0, (0, 2))
-    x, trace = rll_suffix.encode_with_trace([0, 3], params, allow_unproven=True)
+    x, trace = rll_suffix.encode_with_trace([0, 3], params)
     assert x == GOLDEN_CODEWORD_1D
     assert trace.residue == GOLDEN_TRACE_1D["residue"]
     assert trace.greedy == GOLDEN_TRACE_1D["greedy"]
     assert trace.remainder == GOLDEN_TRACE_1D["remainder"]
     assert trace.remainder_digits == GOLDEN_TRACE_1D["remainder_digits"]
-    best = _best_of(5, lambda: rll_suffix.encode([0, 3], params, allow_unproven=True))
+    best = _best_of(5, lambda: rll_suffix.encode([0, 3], params))
     assert best < 1e-3, f"1-D encode took {best * 1e3:.3f} ms (budget 1 ms)"
     return f"codeword and all four intermediates exact, {best * 1e6:.0f} us"
 
 
 @criterion("golden-array-encode")
 def test_acc02_golden_array_encode():
-    X, trace = crisscross.encode_with_trace(
-        GOLDEN_DATA, GOLDEN_PARAMS, allow_unproven=True
-    )
+    X, trace = crisscross.encode_with_trace(GOLDEN_DATA, GOLDEN_PARAMS)
     assert X == GOLDEN_ARRAY
     assert trace.first_row == GOLDEN_CODEWORD_1D
     assert trace.reversed_last_column == GOLDEN_COLUMN_1D
-    assert crisscross.recover_data(X, GOLDEN_PARAMS, allow_unproven=True) == GOLDEN_DATA
+    assert crisscross.recover_data(X, GOLDEN_PARAMS) == GOLDEN_DATA
 
     def once():
-        Y = crisscross.encode(GOLDEN_DATA, GOLDEN_PARAMS, allow_unproven=True)
-        crisscross.recover_data(Y, GOLDEN_PARAMS, allow_unproven=True)
+        Y = crisscross.encode(GOLDEN_DATA, GOLDEN_PARAMS)
+        crisscross.recover_data(Y, GOLDEN_PARAMS)
 
     best = _best_of(3, once)
     assert best < 1e-2, f"encode+recover took {best * 1e3:.2f} ms (budget 10 ms)"
@@ -192,7 +190,7 @@ def test_acc05_vt_oracle_agreement():
 
 @criterion("redundancy-bounds")
 def test_acc06_redundancy_bounds():
-    row = analysis.analysis_row(9, 7, allow_unproven=True)
+    row = analysis.analysis_row(9, 7)
     assert row.encoder_redundancy == 32
     assert row.message_length == 49
     rows = analysis.analyze_range(range(11, 65), [3, 4, 5, 7, 11, 101])

@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
 
 from conftest import enumerate_protected_words
 from crisscodec import analysis
+from crisscodec.errors import EncodingError
 
 
 class TestAnalysisRow:
     def test_golden_small_instance(self):
-        row = analysis.analysis_row(9, 7, allow_unproven=True)
+        row = analysis.analysis_row(9, 7)
         assert (row.k1, row.k2, row.k3) == (2, 1, 2)
         assert row.message_length == 49
         assert row.encoder_redundancy == 32
@@ -52,8 +54,10 @@ class TestAnalysisRow:
         assert not analysis.bounds_hold(nudged, slack=1e-12)
 
     def test_gate_propagates(self):
-        with pytest.raises(ValueError, match="proven"):
-            analysis.analysis_row(9, 7)
+        with pytest.raises(EncodingError, match="not certified"):
+            analysis.analysis_row(10, 3)
+        with pytest.raises(ValueError, match="no data room"):
+            analysis.analysis_row(8, 3)
 
 
 class TestAnalyzeRange:
@@ -127,6 +131,20 @@ class TestCodeSize:
             assert size.size == (
                 size.first_row_count * size.last_column_count * q ** ((n - 2) ** 2 - 2)
             )
+
+    def test_bruteforce_finds_planted_codewords(self, monkeypatch):
+        # No row or column is protected at (4, 3).  With every word that
+        # ends in the suffix planted as protected, the enumeration must find
+        # exactly the arrays the structural formula counts.
+        def planted(n, q, suffix, collect=False):
+            words = itertools.product(range(q), repeat=n)
+            rows = [list(w) for w in words if w[n - len(suffix) :] == suffix]
+            return len(rows), rows if collect else None
+
+        monkeypatch.setattr(analysis, "protected_row_count", planted)
+        brute = analysis.count_code_size(4, 3, mode="bruteforce")
+        assert (brute.first_row_count, brute.last_column_count) == (9, 3)
+        assert brute.size == analysis.count_code_size(4, 3).size == 9 * 3 * 3**2
 
     def test_bruteforce_guard(self):
         with pytest.raises(ValueError, match="guard"):

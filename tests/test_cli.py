@@ -12,7 +12,7 @@ import pytest
 
 from conftest import GOLDEN_ARRAY, GOLDEN_DATA, GOLDEN_RECEIVED_9_9
 import crisscodec
-from crisscodec import fileio, selftest
+from crisscodec import crisscross, fileio
 from crisscodec.cli import main
 from crisscodec.fileio import ArrayFile
 
@@ -51,7 +51,7 @@ class TestPipeline:
 
         assert main([
             "encode", "--n", "9", "--q", "7", "--data", str(data_path),
-            "--allow-unproven-parameters", "--out", str(array),
+            "--out", str(array),
         ]) == 0
         assert array.read_bytes() == fileio.dumps(ARRAY_FILE).encode()
 
@@ -65,16 +65,12 @@ class TestPipeline:
         assert decoded.read_bytes() == array.read_bytes()
 
         assert main([
-            "recover", "--in", str(decoded), "--allow-unproven-parameters",
-            "--out", str(recovered),
+            "recover", "--in", str(decoded), "--out", str(recovered),
         ]) == 0
         assert recovered.read_bytes() == data_path.read_bytes()
 
     def test_stdout_when_out_omitted(self, capsys, data_path):
-        assert main([
-            "encode", "--n", "9", "--q", "7", "--data", str(data_path),
-            "--allow-unproven-parameters",
-        ]) == 0
+        assert main(["encode", "--n", "9", "--q", "7", "--data", str(data_path)]) == 0
         assert capsys.readouterr().out == fileio.dumps(ARRAY_FILE)
 
 
@@ -94,9 +90,11 @@ class TestVerify:
 
 
 class TestExitCodes:
-    def test_encode_without_flag_below_proven_range(self, capsys, data_path):
-        assert main(["encode", "--n", "9", "--q", "7", "--data", str(data_path)]) == 2
-        assert "proven" in capsys.readouterr().err
+    def test_encode_refuses_uncertified_parameters(self, capsys, tmp_path):
+        path = tmp_path / "data.json"
+        fileio.dump(ArrayFile("data", 3, 10, symbols=[0] * 63), path)
+        assert main(["encode", "--n", "10", "--q", "3", "--data", str(path)]) == 2
+        assert "not certified at n=10, q=3" in capsys.readouterr().err
 
     def test_flag_file_mismatch(self, capsys, data_path):
         rc = main([
@@ -134,7 +132,7 @@ class TestExitCodes:
         rows[5][2] = (rows[5][2] + 3) % 7
         path = tmp_path / "tampered.json"
         fileio.dump(ArrayFile("array", 7, 9, rows=rows), path)
-        rc = main(["recover", "--in", str(path), "--allow-unproven-parameters"])
+        rc = main(["recover", "--in", str(path)])
         assert rc == 2
         assert "not a codeword" in capsys.readouterr().err
 
@@ -171,12 +169,10 @@ class TestAnalyze:
         assert lines[0].split()[:2] == ["n", "q"]
 
     def test_unproven_floor(self, capsys):
-        assert main(["analyze", "--n-min", "9", "--n-max", "9", "--q", "7"]) == 2
-        assert main([
-            "analyze", "--n-min", "9", "--n-max", "9", "--q", "7",
-            "--allow-unproven-parameters",
-        ]) == 0
+        assert main(["analyze", "--n-min", "9", "--n-max", "9", "--q", "7"]) == 0
         capsys.readouterr()
+        assert main(["analyze", "--n-min", "10", "--n-max", "10", "--q", "3"]) == 2
+        assert "not certified at n=10, q=3" in capsys.readouterr().err
 
     def test_bad_ranges_and_alphabets(self, capsys):
         assert main(["analyze", "--n-min", "12", "--n-max", "11", "--q", "3"]) == 2
@@ -219,14 +215,15 @@ class TestSelftestCommand:
 
     def test_property_failure_is_exit_3(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            selftest, "_decode_tamper_hook",
-            lambda decoded: [[0] * len(decoded) for _ in decoded],
+            crisscross, "decode", lambda Y, params: [[0] * params.n for _ in range(params.n)]
         )
         assert main(["selftest", "--n", "11", "--q", "3", "--trials", "1"]) == 3
         assert "round-trip: FAIL" in capsys.readouterr().out
 
     def test_below_proven_range_is_exit_2(self, capsys):
-        assert main(["selftest", "--n", "9", "--q", "7", "--trials", "1"]) == 2
+        assert main(["selftest", "--n", "10", "--q", "3", "--trials", "1"]) == 2
+        assert "not certified" in capsys.readouterr().err
+        assert main(["selftest", "--n", "9", "--q", "7", "--trials", "1"]) == 0
         capsys.readouterr()
 
 

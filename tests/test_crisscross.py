@@ -19,7 +19,7 @@ from conftest import (
 )
 from crisscodec import crisscross, rll_suffix, vt_core
 from crisscodec.crisscross import CodeParams
-from crisscodec.errors import DecodingError, NotDecodableError
+from crisscodec.errors import DecodingError, EncodingError, NotDecodableError
 from crisscodec.fixtures import SMALL_PAIR_FIRST, SMALL_PAIR_SECOND
 
 GOLDEN_PARAMS = CodeParams(9, 7)
@@ -50,22 +50,38 @@ class TestMessageLengths:
         assert crisscross.message_lengths(CodeParams(11, 3)) == (2, 1, 1, 80)
         assert crisscross.message_lengths(CodeParams(12, 5)) == (5, 4, 7, 105)
         assert crisscross.message_lengths(CodeParams(16, 7)) == (9, 8, 15, 209)
-        assert crisscross.message_lengths(GOLDEN_PARAMS, allow_unproven=True) == (
-            2, 1, 2, 49,
-        )
+        assert crisscross.message_lengths(GOLDEN_PARAMS) == (2, 1, 2, 49)
 
     def test_proven_range_gate(self):
-        with pytest.raises(ValueError, match="proven"):
+        # (10, 3) has a layout, but a syndrome residue can overflow the
+        # protected row's power positions, so it is refused ...
+        with pytest.raises(EncodingError, match="not certified at n=10, q=3"):
             crisscross.message_lengths(CodeParams(10, 3))
-        # n = 10 is fine once the caller opts in ...
-        ml = crisscross.message_lengths(CodeParams(10, 3), allow_unproven=True)
-        assert ml.total == 10 * 10 - 40 + 2 + ml.k3
-        # ... but below n = 8 the layout does not exist at all,
-        with pytest.raises(ValueError, match="n >= 8"):
-            crisscross.message_lengths(CodeParams(7, 7), allow_unproven=True)
+        # ... below n = 8 the layout does not exist at all,
+        with pytest.raises(ValueError, match="no data room"):
+            crisscross.message_lengths(CodeParams(7, 7))
         # and at n = 8, q = 3 the protected row has no free symbols.
         with pytest.raises(ValueError, match="no data room"):
-            crisscross.message_lengths(CodeParams(8, 3), allow_unproven=True)
+            crisscross.message_lengths(CodeParams(8, 3))
+
+    def test_certified_range(self):
+        # Every point of the paper's range n >= 11 is certified ...
+        for n in range(11, 65):
+            for q in range(3, 65):
+                crisscross.message_lengths(CodeParams(n, q))
+        for n, q in ((256, 257), (64, 257), (512, 65537)):
+            crisscross.message_lengths(CodeParams(n, q))
+        # ... and below it, the certified points are these (README table).
+        accepted = {}
+        for n in (8, 9, 10):
+            for q in range(3, 65):
+                try:
+                    crisscross.message_lengths(CodeParams(n, q))
+                except (ValueError, EncodingError):
+                    continue
+                accepted.setdefault(n, []).append(q)
+        q_min = {8: 7, 9: 4, 10: 4}
+        assert accepted == {n: list(range(q_min[n], 65)) for n in q_min}
 
     def test_total_formula(self):
         for n in (11, 13, 20):
@@ -191,9 +207,7 @@ class TestDeletionBall:
 
 class TestEncode:
     def test_golden(self):
-        X, trace = crisscross.encode_with_trace(
-            GOLDEN_DATA, GOLDEN_PARAMS, allow_unproven=True
-        )
+        X, trace = crisscross.encode_with_trace(GOLDEN_DATA, GOLDEN_PARAMS)
         assert X == GOLDEN_ARRAY
         assert trace.packed == 18
         assert trace.digits == (0, 3, 0)
@@ -220,12 +234,12 @@ class TestEncode:
         assert len(seen) == 10  # distinct messages give distinct arrays
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="proven"):
-            crisscross.encode(GOLDEN_DATA, GOLDEN_PARAMS)
+        with pytest.raises(EncodingError, match="not certified"):
+            crisscross.encode([0] * 63, CodeParams(10, 3))
         with pytest.raises(ValueError):
-            crisscross.encode([0] * 48, GOLDEN_PARAMS, allow_unproven=True)
+            crisscross.encode([0] * 48, GOLDEN_PARAMS)
         with pytest.raises(ValueError):
-            crisscross.encode([7] + [0] * 48, GOLDEN_PARAMS, allow_unproven=True)
+            crisscross.encode([7] + [0] * 48, GOLDEN_PARAMS)
 
 
 class TestDecode:
@@ -282,9 +296,9 @@ class TestInputBoundary:
     """Each public array call checks its input once; numpy integers are accepted."""
 
     def test_numpy_integers_round_trip_as_plain_ints(self):
-        X = crisscross.encode(np.array(GOLDEN_DATA), GOLDEN_PARAMS, allow_unproven=True)
+        X = crisscross.encode(np.array(GOLDEN_DATA), GOLDEN_PARAMS)
         decoded = crisscross.decode(np.array(GOLDEN_RECEIVED_9_9), GOLDEN_PARAMS)
-        data = crisscross.recover_data(np.array(GOLDEN_ARRAY), GOLDEN_PARAMS, allow_unproven=True)
+        data = crisscross.recover_data(np.array(GOLDEN_ARRAY), GOLDEN_PARAMS)
         assert X == decoded == GOLDEN_ARRAY and data == GOLDEN_DATA
         for value in [*data, *(v for row in X + decoded for v in row)]:
             assert type(value) is int
@@ -298,7 +312,7 @@ class TestInputBoundary:
         X = [list(row) for row in GOLDEN_ARRAY]
         X[4][0] = True
         with pytest.raises(ValueError, match=r"^row 5\[0\] = True is outside"):
-            crisscross.recover_data(X, GOLDEN_PARAMS, allow_unproven=True)
+            crisscross.recover_data(X, GOLDEN_PARAMS)
 
     def test_each_input_row_is_scanned_once(self, monkeypatch):
         # Array-level scans are named "row i" or "data".  The first row and
@@ -317,9 +331,9 @@ class TestInputBoundary:
         Y = [list(r) for r in GOLDEN_RECEIVED_9_9]
         X = [list(r) for r in GOLDEN_ARRAY]
         for call, inputs in (
-            (lambda: crisscross.encode(data, GOLDEN_PARAMS, allow_unproven=True), [data]),
+            (lambda: crisscross.encode(data, GOLDEN_PARAMS), [data]),
             (lambda: crisscross.decode(Y, GOLDEN_PARAMS), Y),
-            (lambda: crisscross.recover_data(X, GOLDEN_PARAMS, allow_unproven=True), X),
+            (lambda: crisscross.recover_data(X, GOLDEN_PARAMS), X),
         ):
             scanned.clear()
             call()
@@ -337,28 +351,24 @@ class TestInputBoundary:
 
 class TestRecoverData:
     def test_golden(self):
-        got = crisscross.recover_data(GOLDEN_ARRAY, GOLDEN_PARAMS, allow_unproven=True)
+        got = crisscross.recover_data(GOLDEN_ARRAY, GOLDEN_PARAMS)
         assert got == GOLDEN_DATA
 
     def test_rejects_non_codeword(self):
         X = [list(r) for r in GOLDEN_ARRAY]
         X[3][3] = (X[3][3] + 1) % 7
         with pytest.raises(ValueError, match="not a codeword"):
-            crisscross.recover_data(X, GOLDEN_PARAMS, allow_unproven=True)
+            crisscross.recover_data(X, GOLDEN_PARAMS)
 
     def test_rejects_codeword_outside_encoder_image(self):
         # A perfectly valid codeword whose protected digits pack to a
         # value >= q^k3 can never be produced by encode.
-        u = rll_suffix.encode(
-            [5, 5], crisscross.first_row_params(GOLDEN_PARAMS), allow_unproven=True
-        )
-        v = rll_suffix.encode(
-            [5], crisscross.last_column_params(GOLDEN_PARAMS), allow_unproven=True
-        )
+        u = rll_suffix.encode([5, 5], crisscross.first_row_params(GOLDEN_PARAMS))
+        v = rll_suffix.encode([5], crisscross.last_column_params(GOLDEN_PARAMS))
         X = build_structural_codeword(9, 7, u, v, [0] * 47)
         assert crisscross.is_codeword(X, GOLDEN_PARAMS)
         with pytest.raises(ValueError, match="encoder image"):
-            crisscross.recover_data(X, GOLDEN_PARAMS, allow_unproven=True)
+            crisscross.recover_data(X, GOLDEN_PARAMS)
 
 
 class TestSmallCodeSweep:

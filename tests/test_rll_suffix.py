@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -75,7 +76,7 @@ class TestIndexSets:
 
 class TestEncode:
     def test_golden_with_trace(self):
-        x, trace = rll_suffix.encode_with_trace([0, 3], GOLDEN_PARAMS, allow_unproven=True)
+        x, trace = rll_suffix.encode_with_trace([0, 3], GOLDEN_PARAMS)
         assert x == GOLDEN_CODEWORD_1D
         assert trace.residue == GOLDEN_TRACE_1D["residue"]
         assert trace.greedy == GOLDEN_TRACE_1D["greedy"]
@@ -84,14 +85,18 @@ class TestEncode:
 
     def test_golden_column(self):
         params = RllSuffixParams(6, 3, 7, 0, (0, 1, 2))
-        assert rll_suffix.encode([0], params, allow_unproven=True) == GOLDEN_COLUMN_1D
+        assert rll_suffix.encode([0], params) == GOLDEN_COLUMN_1D
 
     def test_proven_range_gate(self):
-        with pytest.raises(ValueError, match="proven range"):
-            rll_suffix.encode([0, 3], GOLDEN_PARAMS)
-        long_suffix = RllSuffixParams(12, 4, 3, 0, (0, 1, 2, 1))
-        with pytest.raises(ValueError, match="proven range"):
-            rll_suffix.encode([0] * 5, long_suffix)
+        # The range is computed: both points a fixed floor (body >= 8,
+        # suffix <= 3) once refused are certified, so every residue encodes.
+        assert rll_suffix.encodable(7, 2, 7)
+        assert rll_suffix.encode([0, 3], GOLDEN_PARAMS) == GOLDEN_CODEWORD_1D
+        assert rll_suffix.encodable(12, 4, 3)
+        for a in range(3 * 16):
+            params = RllSuffixParams(12, 4, 3, a, (0, 1, 2, 1))
+            x = rll_suffix.encode([1, 0, 1, 1, 0], params)
+            assert rll_suffix.recover_data(x, params) == [1, 0, 1, 1, 0]
 
     def test_validates_data(self):
         params = RllSuffixParams(12, 3, 3, 0, (0, 1, 2))
@@ -136,17 +141,56 @@ class TestEncode:
                 assert rll_suffix.recover_data(x, params) == data
 
     def test_unproven_capacity_overflow(self):
-        # At this unproven point the greedy pass cannot absorb the residue.
+        # At this uncertified point the greedy pass cannot absorb the residue.
+        assert not rll_suffix.encodable(8, 4, 3)
         params = RllSuffixParams(8, 4, 3, 23, (0, 1, 2, 0))
         with pytest.raises(EncodingError, match="capacity"):
-            rll_suffix.encode([0], params, allow_unproven=True)
+            rll_suffix.encode([0], params)
 
     def test_unproven_output_still_validated(self):
-        # Unproven parameters that do work must yield genuine codewords.
-        params = RllSuffixParams(7, 1, 3, 5, (1,))
-        for f in (0, 1):
-            x = rll_suffix.encode([f], params, allow_unproven=True)
+        # At an uncertified point every encode either overflows or yields
+        # a genuine codeword, and both happen.
+        outcomes = set()
+        for a in range(3 * 12):
+            params = RllSuffixParams(8, 4, 3, a, (0, 1, 2, 0))
+            try:
+                x = rll_suffix.encode([1], params)
+            except EncodingError:
+                outcomes.add("overflow")
+                continue
             assert rll_suffix.is_member(x, params)
+            assert rll_suffix.recover_data(x, params) == [1]
+            outcomes.add("codeword")
+        assert outcomes == {"overflow", "codeword"}
+
+
+def greedy_overflows(n, m, q):
+    """True iff the greedy pass overflows for some residue, by trying every one."""
+    t, _, high, _ = rll_suffix.index_sets(n, q)
+    for residue in range(q * (n + m)):
+        for j in high:
+            residue -= min(q - 2, residue // j) * j
+        if residue >= (q - 1) ** (t + 1):
+            return True
+    return False
+
+
+class TestEncodable:
+    def test_matches_every_residue(self):
+        seen = set()
+        for n in range(5, 31):
+            for q in range(3, 21):
+                for m in (1, 2, 3, 4):
+                    try:
+                        rll_suffix.index_sets(n, q)
+                    except ValueError:
+                        with pytest.raises(ValueError):
+                            rll_suffix.encodable(n, m, q)
+                        continue
+                    expected = not greedy_overflows(n, m, q)
+                    assert rll_suffix.encodable(n, m, q) == expected, (n, m, q)
+                    seen.add(expected)
+        assert seen == {True, False}
 
 
 class TestMembership:
@@ -185,7 +229,7 @@ class TestDecode:
         # A word whose only consistent codeword ends with (0, 1), decoded
         # under suffix (0, 2) parameters, must be reported as hopeless.
         other = RllSuffixParams(7, 2, 7, 0, (0, 1))
-        x = rll_suffix.encode([0, 0], other, allow_unproven=True)
+        x = rll_suffix.encode([0, 0], other)
         params = RllSuffixParams(7, 2, 7, 0, (0, 2))
         with pytest.raises(NoCandidateError):
             rll_suffix.decode(x[1:], params)
@@ -198,6 +242,10 @@ class TestDecode:
 class TestRecoverData:
     def test_golden(self):
         assert rll_suffix.recover_data(GOLDEN_CODEWORD_1D, GOLDEN_PARAMS) == [0, 3]
+
+    def test_numpy_word(self):
+        data = rll_suffix.recover_data(np.array(GOLDEN_CODEWORD_1D), GOLDEN_PARAMS)
+        assert data == [0, 3] and all(type(f) is int for f in data)
 
     def test_rejects_non_member(self):
         bad = list(GOLDEN_CODEWORD_1D)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from crisscodec import selftest
+from crisscodec import crisscross, selftest
+from crisscodec.errors import EncodingError
 
 
 def test_passes_at_proven_parameters():
@@ -17,13 +18,13 @@ def test_passes_at_proven_parameters():
 
 
 def test_passes_at_unproven_parameters():
-    report = selftest.run_selftest(9, 7, trials=1, seed=3, allow_unproven=True)
+    report = selftest.run_selftest(9, 7, trials=1, seed=3)
     assert report.ok
 
 
-def test_requires_flag_below_proven_range():
-    with pytest.raises(ValueError, match="proven"):
-        selftest.run_selftest(9, 7, trials=1)
+def test_refuses_uncertified_parameters():
+    with pytest.raises(EncodingError, match="not certified"):
+        selftest.run_selftest(10, 3, trials=1)
 
 
 def test_report_lines_format():
@@ -42,7 +43,8 @@ def test_round_trip_suite_notices_wrong_decodes(monkeypatch):
         decoded[-1][-1] = (decoded[-1][-1] + 1) % 3
         return decoded
 
-    monkeypatch.setattr(selftest, "_decode_tamper_hook", flip_corner)
+    decode = crisscross.decode
+    monkeypatch.setattr(crisscross, "decode", lambda Y, params: flip_corner(decode(Y, params)))
     report = selftest.run_selftest(11, 3, trials=1, seed=7)
     assert not report.ok
     by_name = {r.name: r for r in report.results}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -22,9 +23,11 @@ class TestDiff:
     def test_golden(self):
         assert vt_core.diff([1, 2, 0], 3) == [2, 2, 0]
         assert vt_core.diff(GOLDEN_CODEWORD_1D, 7) == [2, 1, 4, 6, 3, 1, 1, 5, 2]
+        assert vt_core.diff(np.array([1, 2, 0]), 3) == [2, 2, 0]
 
     def test_inverse_golden(self):
         assert vt_core.diff_inverse([2, 2, 0], 3) == [1, 2, 0]
+        assert vt_core.diff_inverse(np.array([2, 2, 0]), 3) == [1, 2, 0]
 
     def test_round_trip_exhaustive(self):
         for q in (2, 3, 4):
@@ -43,10 +46,11 @@ class TestDiff:
             assert vt_core.diff_inverse(vt_core.diff(xs, q), q) == xs
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            vt_core.diff([], 3)
-        with pytest.raises(ValueError):
-            vt_core.diff_inverse([], 3)
+        for empty in ([], np.array([], dtype=int)):
+            with pytest.raises(ValueError):
+                vt_core.diff(empty, 3)
+            with pytest.raises(ValueError):
+                vt_core.diff_inverse(empty, 3)
 
 
 class TestSyndrome:
