@@ -12,9 +12,13 @@ The package is layered bottom-up:
   * fileio / analysis / fixtures / selftest / cli -- the JSON file
     format, redundancy and code-size analysis, embedded reference
     fixtures, the property suite and the command line front end.
+
+Importing the package loads only the codec (vt_core, rll_suffix,
+crisscross and errors); import the other modules by name, e.g.
+``from crisscodec import analysis``.  Only analysis, and the cli
+through it, loads numpy.
 """
 
-from . import analysis, cli, crisscross, fileio, fixtures, rll_suffix, selftest, vt_core
 from .crisscross import CodeParams, MessageLengths
 from .errors import (
     AmbiguousCodewordError,
@@ -40,12 +44,4 @@ __all__ = [
     "NoCandidateError",
     "NotDecodableError",
     "RllSuffixParams",
-    "analysis",
-    "cli",
-    "crisscross",
-    "fileio",
-    "fixtures",
-    "rll_suffix",
-    "selftest",
-    "vt_core",
 ]

@@ -207,7 +207,13 @@ def _count_bruteforce(n: int, q: int) -> tuple[int, int, int]:
 
 
 def count_code_size(n: int, q: int, mode: str = "formula") -> CodeSize:
-    """Exact |code(n, q)| via the structural formula or full enumeration."""
+    """Exact |code(n, q)| via the structural formula or full enumeration.
+
+    "bruteforce" enumerates all q^(n^2) arrays and refuses more than
+    ENUMERATION_GUARD of them, so among n >= 4, q >= 3 it runs only at
+    (4, 3), where the code is empty.  It is kept as the reference the
+    formula is tested against.
+    """
     params = CodeParams(n, q)  # validates n >= 4, q >= 3
     if mode == "formula":
         u_count, _ = protected_row_count(params.n, params.q, (0, 2))

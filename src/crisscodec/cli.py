@@ -125,13 +125,7 @@ def cmd_verify_fixtures(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    report = selftest.run_selftest(
-        args.n,
-        args.q,
-        args.trials,
-        seed=args.seed,
-        exhaustive_small=args.exhaustive_small,
-    )
+    report = selftest.run_selftest(args.n, args.q, args.trials, seed=args.seed)
     for line in report.lines():
         print(line)
     return 0 if report.ok else 3
@@ -197,12 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--q", type=int, required=True)
     sub.add_argument("--trials", type=int, default=10)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument(
-        "--exhaustive-small",
-        action="store_true",
-        help="also enumerate all codewords at the smallest parameters and "
-        "check their deletion balls are pairwise disjoint",
-    )
     sub.set_defaults(handler=cmd_selftest)
 
     return parser

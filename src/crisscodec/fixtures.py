@@ -57,21 +57,12 @@ def _sums(X: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]
     return rows, cols
 
 
-def verify_fixture_pairs(
-    small_first: Sequence[Sequence[int]] = SMALL_PAIR_FIRST,
-    small_second: Sequence[Sequence[int]] = SMALL_PAIR_SECOND,
-    binary_first: Sequence[Sequence[int]] = BINARY_PAIR_FIRST,
-    binary_second: Sequence[Sequence[int]] = BINARY_PAIR_SECOND,
-) -> list[FixtureCheck]:
-    """Re-derive the collision properties of the embedded fixture pairs.
-
-    Array arguments exist so tests can feed mutated copies and watch the
-    checks fail; callers normally use the defaults.
-    """
+def verify_fixture_pairs() -> list[FixtureCheck]:
+    """Re-derive the collision properties of the embedded fixture pairs."""
     checks = []
 
-    rows_a, cols_a = _sums(small_first)
-    rows_b, cols_b = _sums(small_second)
+    rows_a, cols_a = _sums(SMALL_PAIR_FIRST)
+    rows_b, cols_b = _sums(SMALL_PAIR_SECOND)
     checks.append(
         FixtureCheck(
             "small pair: matching row and column sums",
@@ -80,8 +71,8 @@ def verify_fixture_pairs(
         )
     )
     (i_a, j_a), (i_b, j_b) = SMALL_PAIR_DELETIONS
-    got_a = corrupt(small_first, i_a, j_a)
-    got_b = corrupt(small_second, i_b, j_b)
+    got_a = corrupt(SMALL_PAIR_FIRST, i_a, j_a)
+    got_b = corrupt(SMALL_PAIR_SECOND, i_b, j_b)
     checks.append(
         FixtureCheck(
             "small pair: colliding deletions",
@@ -93,7 +84,7 @@ def verify_fixture_pairs(
 
     diff_cells = sum(
         a != b
-        for row_a, row_b in zip(binary_first, binary_second)
+        for row_a, row_b in zip(BINARY_PAIR_FIRST, BINARY_PAIR_SECOND)
         for a, b in zip(row_a, row_b)
     )
     checks.append(
@@ -104,7 +95,7 @@ def verify_fixture_pairs(
         )
     )
     (i_a, j_a), (i_b, j_b) = BINARY_PAIR_DELETIONS
-    collide = corrupt(binary_first, i_a, j_a) == corrupt(binary_second, i_b, j_b)
+    collide = corrupt(BINARY_PAIR_FIRST, i_a, j_a) == corrupt(BINARY_PAIR_SECOND, i_b, j_b)
     checks.append(
         FixtureCheck(
             "binary pair: colliding deletions",

@@ -1,7 +1,7 @@
 """Run-length-limited differential VT codes with a fixed suffix.
 
 RLL_DVT_a(n, m; b) is the set of sequences x of length n + m over
-{0, ..., q-1} such that
+{0, ..., q-1}, where m = len(b) is the suffix length, such that
 
   * x belongs to DVT_a(n + m; q),
   * no two adjacent symbols of x are equal (the 1-RLL property), and
@@ -33,40 +33,38 @@ from .vt_core import DvtParams
 class RllSuffixParams:
     """Parameters of RLL_DVT_a(n, m; b) over the alphabet {0, ..., q-1}.
 
-    n is the free body length, m the suffix length, a the syndrome
-    residue modulo q*(n+m), and b the fixed suffix.
+    n is the free body length, a the syndrome residue modulo q*(n+m),
+    and b the fixed non-empty suffix, whose length is m.
     """
 
     n: int
-    m: int
     q: int
     a: int
     b: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "b", tuple(self.b))
         if self.q < 3:
             raise ValueError(f"alphabet size must be >= 3, got q={self.q}")
         if self.n < 1:
             raise ValueError(f"body length must be >= 1, got n={self.n}")
-        if self.m < 1:
-            raise ValueError(f"suffix length must be >= 1, got m={self.m}")
-        if len(self.b) != self.m:
-            raise ValueError(f"suffix has length {len(self.b)}, expected m={self.m}")
+        if not len(self.b):
+            raise ValueError("suffix must be non-empty")
         object.__setattr__(self, "b", tuple(vt_core.check_symbols(self.b, self.q, "suffix")))
         if not vt_core.adjacent_distinct(self.b):
             raise ValueError(f"suffix {self.b} has equal adjacent symbols")
-        if not 0 <= self.a < self.q * (self.n + self.m):
-            raise ValueError(
-                f"syndrome residue must lie in [0, {self.q * (self.n + self.m)}), got a={self.a}"
-            )
+        # Checks the residue range; built once, not per is_member/decode call.
+        object.__setattr__(self, "_dvt", DvtParams(self.length, self.q, self.a))
+
+    @property
+    def m(self) -> int:
+        return len(self.b)
 
     @property
     def length(self) -> int:
         return self.n + self.m
 
     def dvt(self) -> DvtParams:
-        return DvtParams(self.length, self.q, self.a)
+        return self._dvt
 
 
 class IndexSets(NamedTuple):
@@ -176,7 +174,7 @@ def _greedy(residue: int, high: Sequence[int], q: int) -> tuple[tuple[int, ...],
 
 @lru_cache
 def encodable(n: int, m: int, q: int) -> bool:
-    """True iff encode cannot overflow the power positions at body n, suffix m, alphabet q.
+    """True iff encode cannot overflow the power positions at body n, suffix length m, alphabet q.
 
     The greedy remainder depends only on the syndrome residue, so this
     certifies every residue in [0, q(n+m)), hence every a, suffix and

@@ -226,6 +226,12 @@ class TestSelftestCommand:
         assert main(["selftest", "--n", "9", "--q", "7", "--trials", "1"]) == 0
         capsys.readouterr()
 
+    def test_no_trials_is_exit_2(self, capsys):
+        assert main(["selftest", "--n", "11", "--q", "3", "--trials", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert "at least one trial" in captured.err
+        assert "PASS" not in captured.out
+
 
 def test_console_script_is_installed():
     exe = shutil.which("crisscodec")

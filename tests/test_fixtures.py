@@ -45,35 +45,39 @@ def test_binary_pair_collision_re_derived():
     assert fixtures.BINARY_PAIR_FIRST != fixtures.BINARY_PAIR_SECOND
 
 
-def test_mutated_small_pair_fails_sum_check():
+def test_mutated_small_pair_fails_sum_check(monkeypatch):
     bad = [list(r) for r in fixtures.SMALL_PAIR_FIRST]
     bad[0][0] += 1
-    checks = fixtures.verify_fixture_pairs(small_first=bad)
+    monkeypatch.setattr(fixtures, "SMALL_PAIR_FIRST", bad)
+    checks = fixtures.verify_fixture_pairs()
     by_name = {c.name: c for c in checks}
     assert not by_name["small pair: matching row and column sums"].ok
     # the untouched binary checks still pass
     assert by_name["binary pair: colliding deletions"].ok
 
 
-def test_mutated_small_pair_fails_collision_check():
+def test_mutated_small_pair_fails_collision_check(monkeypatch):
     bad = [list(r) for r in fixtures.SMALL_PAIR_SECOND]
     bad[0][0] = 3  # cell surviving its pair's deletion (2,2)
-    checks = fixtures.verify_fixture_pairs(small_second=bad)
+    monkeypatch.setattr(fixtures, "SMALL_PAIR_SECOND", bad)
+    checks = fixtures.verify_fixture_pairs()
     by_name = {c.name: c for c in checks}
     assert not by_name["small pair: colliding deletions"].ok
 
 
-def test_mutated_binary_pair_fails_difference_count():
+def test_mutated_binary_pair_fails_difference_count(monkeypatch):
     bad = [list(r) for r in fixtures.BINARY_PAIR_FIRST]
     bad[0][0] ^= 1
-    checks = fixtures.verify_fixture_pairs(binary_first=bad)
+    monkeypatch.setattr(fixtures, "BINARY_PAIR_FIRST", bad)
+    checks = fixtures.verify_fixture_pairs()
     by_name = {c.name: c for c in checks}
     assert not by_name["binary pair: distinct arrays"].ok
 
 
-def test_mutated_binary_pair_fails_collision_check():
+def test_mutated_binary_pair_fails_collision_check(monkeypatch):
     bad = [list(r) for r in fixtures.BINARY_PAIR_SECOND]
     bad[0][1] ^= 1  # survives the (16, 1) deletion of the second array
-    checks = fixtures.verify_fixture_pairs(binary_second=bad)
+    monkeypatch.setattr(fixtures, "BINARY_PAIR_SECOND", bad)
+    checks = fixtures.verify_fixture_pairs()
     by_name = {c.name: c for c in checks}
     assert not by_name["binary pair: colliding deletions"].ok

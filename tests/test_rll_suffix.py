@@ -17,25 +17,27 @@ from crisscodec import rll_suffix
 from crisscodec.errors import EncodingError, NoCandidateError
 from crisscodec.rll_suffix import RllSuffixParams
 
-GOLDEN_PARAMS = RllSuffixParams(7, 2, 7, 0, (0, 2))
+GOLDEN_PARAMS = RllSuffixParams(7, 7, 0, (0, 2))
 
 
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
-            RllSuffixParams(7, 2, 2, 0, (0, 1))  # q too small
+            RllSuffixParams(7, 2, 0, (0, 1))  # q too small
         with pytest.raises(ValueError):
-            RllSuffixParams(0, 2, 7, 0, (0, 2))
+            RllSuffixParams(0, 7, 0, (0, 2))
+        with pytest.raises(ValueError, match="non-empty"):
+            RllSuffixParams(7, 7, 0, ())  # empty suffix
         with pytest.raises(ValueError):
-            RllSuffixParams(7, 2, 7, 0, (0, 2, 1))  # wrong suffix length
+            RllSuffixParams(7, 7, 0, (2, 2))  # equal adjacent suffix symbols
         with pytest.raises(ValueError):
-            RllSuffixParams(7, 2, 7, 0, (2, 2))  # equal adjacent suffix symbols
+            RllSuffixParams(7, 7, 63, (0, 2))  # residue out of range
         with pytest.raises(ValueError):
-            RllSuffixParams(7, 2, 7, 63, (0, 2))  # residue out of range
-        with pytest.raises(ValueError):
-            RllSuffixParams(7, 2, 7, 0, (0, 7))  # symbol out of alphabet
+            RllSuffixParams(7, 7, 0, (0, 7))  # symbol out of alphabet
+        assert GOLDEN_PARAMS.m == 2
         assert GOLDEN_PARAMS.length == 9
         assert GOLDEN_PARAMS.dvt().modulus == 63
+        assert GOLDEN_PARAMS.dvt() is GOLDEN_PARAMS.dvt()  # built once
 
 
 class TestIndexSets:
@@ -84,7 +86,7 @@ class TestEncode:
         assert trace.remainder_digits == GOLDEN_TRACE_1D["remainder_digits"]
 
     def test_golden_column(self):
-        params = RllSuffixParams(6, 3, 7, 0, (0, 1, 2))
+        params = RllSuffixParams(6, 7, 0, (0, 1, 2))
         assert rll_suffix.encode([0], params) == GOLDEN_COLUMN_1D
 
     def test_proven_range_gate(self):
@@ -94,19 +96,19 @@ class TestEncode:
         assert rll_suffix.encode([0, 3], GOLDEN_PARAMS) == GOLDEN_CODEWORD_1D
         assert rll_suffix.encodable(12, 4, 3)
         for a in range(3 * 16):
-            params = RllSuffixParams(12, 4, 3, a, (0, 1, 2, 1))
+            params = RllSuffixParams(12, 3, a, (0, 1, 2, 1))
             x = rll_suffix.encode([1, 0, 1, 1, 0], params)
             assert rll_suffix.recover_data(x, params) == [1, 0, 1, 1, 0]
 
     def test_validates_data(self):
-        params = RllSuffixParams(12, 3, 3, 0, (0, 1, 2))
+        params = RllSuffixParams(12, 3, 0, (0, 1, 2))
         with pytest.raises(ValueError):
             rll_suffix.encode([0] * 4, params)  # needs 5 symbols
         with pytest.raises(ValueError):
             rll_suffix.encode([0, 0, 0, 0, 2], params)  # symbol must be <= q-2
 
     def test_exhaustive_smallest_proven_body(self):
-        params = RllSuffixParams(8, 1, 3, 0, (0,))
+        params = RllSuffixParams(8, 3, 0, (0,))
         words = []
         for f in (0, 1):
             x = rll_suffix.encode([f], params)
@@ -121,7 +123,7 @@ class TestEncode:
         assert words[0] != words[1]
 
     def test_round_trip_all_messages(self):
-        params = RllSuffixParams(12, 3, 3, 0, (0, 1, 2))
+        params = RllSuffixParams(12, 3, 0, (0, 1, 2))
         seen = set()
         for data in itertools.product((0, 1), repeat=5):
             x = rll_suffix.encode(list(data), params)
@@ -132,7 +134,7 @@ class TestEncode:
 
     def test_round_trip_nonzero_residue(self):
         for a in (1, 17, 59):
-            params = RllSuffixParams(12, 3, 5, a, (0, 1, 2))
+            params = RllSuffixParams(12, 5, a, (0, 1, 2))
             width = rll_suffix.data_length(12, 5)
             for data in ([0] * width, [3] * width, list(range(width))):
                 data = [d % 4 for d in data]
@@ -143,7 +145,7 @@ class TestEncode:
     def test_unproven_capacity_overflow(self):
         # At this uncertified point the greedy pass cannot absorb the residue.
         assert not rll_suffix.encodable(8, 4, 3)
-        params = RllSuffixParams(8, 4, 3, 23, (0, 1, 2, 0))
+        params = RllSuffixParams(8, 3, 23, (0, 1, 2, 0))
         with pytest.raises(EncodingError, match="capacity"):
             rll_suffix.encode([0], params)
 
@@ -152,7 +154,7 @@ class TestEncode:
         # a genuine codeword, and both happen.
         outcomes = set()
         for a in range(3 * 12):
-            params = RllSuffixParams(8, 4, 3, a, (0, 1, 2, 0))
+            params = RllSuffixParams(8, 3, a, (0, 1, 2, 0))
             try:
                 x = rll_suffix.encode([1], params)
             except EncodingError:
@@ -203,7 +205,7 @@ class TestMembership:
 
     @pytest.mark.parametrize("q", [3, 4])
     def test_agrees_with_pure_enumeration(self, q):
-        params = RllSuffixParams(5, 3, q, 0, (0, 1, 2))
+        params = RllSuffixParams(5, q, 0, (0, 1, 2))
         expected = {tuple(x) for x in enumerate_protected_words(8, q, (0, 1, 2))}
         got = {
             x
@@ -228,9 +230,9 @@ class TestDecode:
     def test_suffix_mismatch_rejected(self):
         # A word whose only consistent codeword ends with (0, 1), decoded
         # under suffix (0, 2) parameters, must be reported as hopeless.
-        other = RllSuffixParams(7, 2, 7, 0, (0, 1))
+        other = RllSuffixParams(7, 7, 0, (0, 1))
         x = rll_suffix.encode([0, 0], other)
-        params = RllSuffixParams(7, 2, 7, 0, (0, 2))
+        params = RllSuffixParams(7, 7, 0, (0, 2))
         with pytest.raises(NoCandidateError):
             rll_suffix.decode(x[1:], params)
 

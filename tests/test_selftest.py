@@ -9,10 +9,10 @@ from crisscodec.errors import EncodingError
 
 
 def test_passes_at_proven_parameters():
-    report = selftest.run_selftest(11, 3, trials=2, seed=0, exhaustive_small=True)
+    report = selftest.run_selftest(11, 3, trials=2, seed=0)
     assert report.ok
     names = [r.name for r in report.results]
-    assert names == ["round-trip", "zero-sums", "discriminator", "exhaustive-small"]
+    assert names == ["round-trip", "zero-sums", "discriminator"]
     for result in report.results:
         assert result.passed
 
@@ -25,6 +25,12 @@ def test_passes_at_unproven_parameters():
 def test_refuses_uncertified_parameters():
     with pytest.raises(EncodingError, match="not certified"):
         selftest.run_selftest(10, 3, trials=1)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_refuses_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError, match="at least one trial"):
+        selftest.run_selftest(11, 3, trials=trials)
 
 
 def test_report_lines_format():
@@ -57,12 +63,3 @@ def test_round_trip_suite_notices_wrong_decodes(monkeypatch):
     # the other suites are unaffected by the planted decode bug
     assert by_name["zero-sums"].passed
     assert by_name["discriminator"].passed
-
-
-def test_exhaustive_small_suite_reports_empty_code():
-    report = selftest.run_selftest(11, 3, trials=1, seed=0, exhaustive_small=True)
-    by_name = {r.name: r for r in report.results}
-    suite = by_name["exhaustive-small"]
-    assert suite.passed
-    assert "0 codewords" in suite.detail  # the (4, 3) instance is empty
-    assert "0 overlapping ball pairs" in suite.detail
