@@ -15,8 +15,8 @@ The package is layered bottom-up:
 
 Importing the package loads only the codec (vt_core, rll_suffix,
 crisscross and errors); import the other modules by name, e.g.
-``from crisscodec import analysis``.  Only analysis, and the cli
-through it, loads numpy.
+``from crisscodec import analysis``.  The package has no runtime
+dependency: no module, the cli included, needs numpy.
 """
 
 from .crisscross import CodeParams, MessageLengths

@@ -5,25 +5,25 @@ encoder redundancy 4n - 2 - k3 (in q-ary symbols) and the theoretical
 lower/upper bounds it must sit between.  Floats appear only here, in
 reporting; everything the codec itself computes stays in exact ints.
 
-Code sizes are counted two ways: `formula` multiplies the brute-forced
-counts of valid first rows and last columns by q^((n-2)^2 - 2) free
-interior cells (the parity cells are then forced), while `bruteforce`
-enumerates every q^(n^2) array and tests the codeword conditions
-directly.  Both enumerations are vectorized with numpy and guarded so
-they refuse work beyond ~10^8 candidates.
+Code sizes are exact: the counts of protected first rows and last
+columns, each from a DP over syndrome residues, times q^free_cells(n)
+for the free interior cells (the marker and parity cells are then
+forced).
+CodeSize.redundancy is the code redundancy n^2 - floor(log_q |C|) that
+the paper bounds.  The DP is plain Python and needs no numpy; it
+refuses work beyond WORK_GUARD = 10^8 inner steps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
-import numpy as np
-
-from . import crisscross, rll_suffix
+from . import crisscross, rll_suffix, vt_core
 from .crisscross import CodeParams
 
-ENUMERATION_GUARD = 10**8
+WORK_GUARD = 10**8
 
 CSV_FIELDS = (
     "n",
@@ -107,121 +107,68 @@ def to_table(rows: list[AnalysisRow]) -> str:
 
 @dataclass(frozen=True)
 class CodeSize:
-    """Exact size of one code instance and how it was obtained."""
+    """Exact size of one code instance."""
 
     n: int
     q: int
-    mode: str
     first_row_count: int
     last_column_count: int
     size: int
     redundancy: int | None  # n^2 - floor(log_q size); None for an empty code
 
 
-def protected_row_count(
-    n: int, q: int, suffix: tuple[int, ...], collect: bool = False
-) -> tuple[int, list[list[int]] | None]:
-    """Count (optionally collect) length-n words that protect a row/column.
+def protected_row_count(n: int, q: int, suffix: tuple[int, ...]) -> int:
+    """Count the length-n words that protect a row or column.
 
     A word qualifies when it lies in DVT_0(n; q), has no equal adjacent
-    symbols and ends with `suffix`.  Enumerates all q^n candidates in
-    vectorized chunks; refuses when q^n exceeds the guard.
+    symbols and ends with `suffix`.  In the differential word y = diff(x)
+    the suffix fixes y_(n-m+1), ..., y_n, and the word is a free choice
+    of y_1, ..., y_(n-m), each in {1, ..., q-1}: a nonzero differential
+    is exactly the RLL property.  A DP over the qn syndrome residues,
+    one free position at a time, counts the choices whose syndrome
+    sum(i * y_i) is 0 mod qn.  Refuses more than WORK_GUARD inner steps.
     """
-    total = q**n
-    if total > ENUMERATION_GUARD:
-        raise ValueError(
-            f"q^n = {total} exceeds the enumeration guard {ENUMERATION_GUARD}"
-        )
+    m = len(suffix)
+    if not 0 < m <= n:
+        raise ValueError(f"the suffix must have 1 to n = {n} symbols, got {m}")
     modulus = q * n
-    weights = np.arange(1, n, dtype=np.int64)
-    suffix_arr = np.asarray(suffix, dtype=np.int64)
-    powers = [q**k for k in range(n)]
-    count = 0
-    rows: list[list[int]] | None = [] if collect else None
-    chunk = 1 << 20
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        digits = np.empty((stop - start, n), dtype=np.int64)
-        for k in range(n):
-            digits[:, k] = (idx // powers[k]) % q
-        d = (digits[:, :-1] - digits[:, 1:]) % q
-        syn = d @ weights + digits[:, -1] * n
-        mask = (syn % modulus == 0) & (d != 0).all(axis=1)
-        mask &= (digits[:, n - len(suffix) :] == suffix_arr).all(axis=1)
-        count += int(mask.sum())
-        if rows is not None:
-            rows.extend(digits[mask].tolist())
-    return count, rows
+    steps = (n - m) * (q - 1) * modulus
+    if steps > WORK_GUARD:
+        raise ValueError(f"{steps} DP steps exceed the work guard {WORK_GUARD}")
+    fixed = vt_core.diff(vt_core.check_symbols(suffix, q, "suffix"), q)
+    if 0 in fixed[:-1]:
+        return 0
+    counts = [0] * modulus  # counts[r]: choices so far whose syndrome is r mod qn
+    counts[vt_core.syndrome([0] * (n - m) + fixed) % modulus] = 1
+    for i in range(1, n - m + 1):
+        grown = [0] * modulus
+        for shift in range(i, i * q, i):  # y_i = shift / i
+            grown = list(map(add, grown, counts[-shift:] + counts[:-shift]))
+        counts = grown
+    return counts[0]
 
 
-def _count_bruteforce(n: int, q: int) -> tuple[int, int, int]:
-    """Count codewords by enumerating every q^(n^2) array.
-
-    Each codeword condition tests one linear form of the cells (numbered
-    row-major): the base-q codes of the first row and of the reversed
-    last column, the two marker cells, and the row and column sums mod q.
-    The arrays are taken in mixed-radix chunks: the low cells run through
-    a precomputed table of all their values and the high cells are
-    constant within a chunk.  A form is then the table's share plus a
-    shift fixed per chunk, so each condition tests the table's share
-    against its target moved by that shift.
-    """
-    cells = n * n
-    total = q**cells
-    if total > ENUMERATION_GUARD:
-        raise ValueError(
-            f"q^(n^2) = {total} exceeds the enumeration guard {ENUMERATION_GUARD}"
-        )
-    u_count, u_rows = protected_row_count(n, q, (0, 2), collect=True)
-    v_count, v_rows = protected_row_count(n, q, (0, 1, 2), collect=True)
-    assert u_rows is not None and v_rows is not None
-    powers_n = q ** np.arange(n, dtype=np.int64)
-    u_codes = np.array(u_rows, dtype=np.int64).reshape(-1, n) @ powers_n
-    v_codes = np.array(v_rows, dtype=np.int64).reshape(-1, n) @ powers_n
-
-    forms = np.zeros((cells, 2 * n + 1), dtype=np.int64)
-    forms[:n, 0] = powers_n  # first row
-    forms[n * n - 1 :: -n, 1] = powers_n  # last column, bottom to top
-    forms[2 * n - 2, 2] = 1  # marker cell that must hold 1
-    forms[3 * n - 2, 3] = 1  # marker cell that must hold 2
-    for i in range(1, n):  # rows 2..n
-        forms[i * n : (i + 1) * n, 3 + i] = 1
-    for j in range(1, n - 1):  # columns 2..n-1
-        forms[j::n, 2 + n + j] = 1
-
-    low = min(cells, rll_suffix.int_log_floor(q, 1 << 18))
-    table = np.arange(q**low, dtype=np.int64)[:, None] // q ** np.arange(low) % q
-    low_share = np.ascontiguousarray((table @ forms[:low]).T)  # one row per form
-    low_share[4:] %= q
-    high_powers = q ** np.arange(cells - low, dtype=np.int64)
-    count = 0
-    for high in range(q ** (cells - low)):
-        shift = (high // high_powers % q) @ forms[low:]
-        mask = np.isin(low_share[0], u_codes - shift[0])
-        mask &= np.isin(low_share[1], v_codes - shift[1])
-        mask &= (low_share[2] == 1 - shift[2]) & (low_share[3] == 2 - shift[3])
-        mask &= (low_share[4:] == (-shift[4:] % q)[:, None]).all(axis=0)
-        count += int(mask.sum())
-    return count, u_count, v_count
+def free_cells(n: int) -> int:
+    """Interior cells an n x n codeword leaves free: (n-2)^2 minus the two markers."""
+    return (n - 2) ** 2 - 2
 
 
 def count_code_size(n: int, q: int, mode: str = "formula") -> CodeSize:
-    """Exact |code(n, q)| via the structural formula or full enumeration.
+    """Exact |code(n, q)| by the structural formula.
 
-    "bruteforce" enumerates all q^(n^2) arrays and refuses more than
-    ENUMERATION_GUARD of them, so among n >= 4, q >= 3 it runs only at
-    (4, 3), where the code is empty.  It is kept as the reference the
-    formula is tested against.
+    A codeword is a protected first row, a protected reversed last
+    column and q^free_cells(n) free interior cells; the marker and
+    parity cells are then forced.  "formula" is the only mode.
     """
     params = CodeParams(n, q)  # validates n >= 4, q >= 3
-    if mode == "formula":
-        u_count, _ = protected_row_count(params.n, params.q, (0, 2))
-        v_count, _ = protected_row_count(params.n, params.q, (0, 1, 2))
-        size = u_count * v_count * q ** ((n - 2) ** 2 - 2)
-    elif mode == "bruteforce":
-        size, u_count, v_count = _count_bruteforce(n, q)
-    else:
-        raise ValueError(f'mode must be "formula" or "bruteforce", got {mode!r}')
-    redundancy = n * n - rll_suffix.int_log_floor(q, size) if size > 0 else None
-    return CodeSize(n, q, mode, u_count, v_count, size, redundancy)
+    if mode != "formula":
+        raise ValueError(f'mode must be "formula", got {mode!r}')
+    u_count = protected_row_count(params.n, params.q, (0, 2))
+    v_count = protected_row_count(params.n, params.q, (0, 1, 2))
+    rows = u_count * v_count
+    size = rows * q ** free_cells(n)
+    # floor(log_q size) = free_cells(n) + floor(log_q rows).  int_log_floor on
+    # size itself multiplies (n-2)^2 times by numbers as long as size: 0.5 s
+    # at (400, 3), growing like n^4.
+    redundancy = n * n - free_cells(n) - rll_suffix.int_log_floor(q, rows) if rows else None
+    return CodeSize(n, q, u_count, v_count, size, redundancy)

@@ -103,15 +103,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    result = analysis.count_code_size(args.n, args.q, args.mode)
-    print(f"n={result.n} q={result.q} mode={result.mode}")
+    result = analysis.count_code_size(args.n, args.q)
+    print(f"n={result.n} q={result.q}")
     print(f"protected first rows:    {result.first_row_count}")
     print(f"protected last columns:  {result.last_column_count}")
     if result.size == 0:
         print("code size:               0 (empty code)")
         print("code redundancy:         n/a")
     else:
-        print(f"code size:               {result.size}")
+        try:
+            size = str(result.size)
+        except ValueError:  # more digits than int-to-str conversion allows
+            rows = result.first_row_count * result.last_column_count
+            size = f"{rows} * {result.q}^{analysis.free_cells(result.n)}"
+        print(f"code size:               {size}")
         print(f"code redundancy:         {result.redundancy} symbols")
     return 0
 
@@ -178,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("count", help="count the codewords of one code instance")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--mode", choices=("formula", "bruteforce"), default="formula")
     sub.set_defaults(handler=cmd_count)
 
     sub = subs.add_parser(

@@ -32,6 +32,7 @@ class EncodingError(CodecError):
     Raised by crisscross.message_lengths where rll_suffix.encodable
     cannot certify that every syndrome residue fits the power positions
     of the protected row and column, by rll_suffix.encode when the
-    residue of one call overflows them, and by crisscross.encode when
-    its output fails the codeword check.
+    residue of one call overflows them or its output fails the membership
+    check, and by crisscross.encode when its output fails the codeword
+    check.
     """

@@ -200,7 +200,7 @@ def encode_with_trace(
     them.  Where encodable(n, m, q) is False the residue left for the
     power positions may overflow them, in which case EncodingError is
     raised; the output is always validated against is_member before
-    being returned.
+    being returned, and EncodingError is raised if it fails.
     """
     n, m, q, a, b = params.n, params.m, params.q, params.a, params.b
     sets = index_sets(n, q)
@@ -242,7 +242,7 @@ def encode_with_trace(
 
     x = vt_core.diff_inverse(y[1:], q)
     if not is_member(x, params):
-        raise AssertionError("encoder produced a word outside its own code")
+        raise EncodingError("encoder produced a word outside its own code")
     trace = EncodeTrace(residue, greedy, remainder, tuple(digits))
     return x, trace
 

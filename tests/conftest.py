@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import itertools
 
-from crisscodec import vt_core
+import numpy as np
+
+from crisscodec import rll_suffix, vt_core
 from crisscodec.vt_core import DvtParams
 
 GOLDEN_N = 9
@@ -111,6 +113,51 @@ def enumerate_protected_words(n: int, q: int, suffix: tuple[int, ...]) -> list[l
         if vt_core.syndrome(vt_core.diff(x, q)) % (q * n) == 0:
             out.append(x)
     return out
+
+
+def count_arrays_bruteforce(n: int, q: int, u_rows, v_rows) -> int:
+    """Count codewords by enumerating every q^(n^2) array.
+
+    `u_rows` and `v_rows` list the words that protect the first row and
+    the reversed last column (say, from enumerate_protected_words).
+    Each codeword condition tests one linear form of the cells (numbered
+    row-major): the base-q codes of the first row and of the reversed
+    last column, the two marker cells, and the row and column sums mod q.
+    The arrays are taken in mixed-radix chunks: the low cells run through
+    a precomputed table of all their values and the high cells are
+    constant within a chunk.  A form is then the table's share plus a
+    shift fixed per chunk, so each condition tests the table's share
+    against its target moved by that shift.
+    """
+    cells = n * n
+    powers_n = q ** np.arange(n, dtype=np.int64)
+    u_codes = np.array(u_rows, dtype=np.int64).reshape(-1, n) @ powers_n
+    v_codes = np.array(v_rows, dtype=np.int64).reshape(-1, n) @ powers_n
+
+    forms = np.zeros((cells, 2 * n + 1), dtype=np.int64)
+    forms[:n, 0] = powers_n  # first row
+    forms[n * n - 1 :: -n, 1] = powers_n  # last column, bottom to top
+    forms[2 * n - 2, 2] = 1  # marker cell that must hold 1
+    forms[3 * n - 2, 3] = 1  # marker cell that must hold 2
+    for i in range(1, n):  # rows 2..n
+        forms[i * n : (i + 1) * n, 3 + i] = 1
+    for j in range(1, n - 1):  # columns 2..n-1
+        forms[j::n, 2 + n + j] = 1
+
+    low = min(cells, rll_suffix.int_log_floor(q, 1 << 18))
+    table = np.arange(q**low, dtype=np.int64)[:, None] // q ** np.arange(low) % q
+    low_share = np.ascontiguousarray((table @ forms[:low]).T)  # one row per form
+    low_share[4:] %= q
+    high_powers = q ** np.arange(cells - low, dtype=np.int64)
+    count = 0
+    for high in range(q ** (cells - low)):
+        shift = (high // high_powers % q) @ forms[low:]
+        mask = np.isin(low_share[0], u_codes - shift[0])
+        mask &= np.isin(low_share[1], v_codes - shift[1])
+        mask &= (low_share[2] == 1 - shift[2]) & (low_share[3] == 2 - shift[3])
+        mask &= (low_share[4:] == (-shift[4:] % q)[:, None]).all(axis=0)
+        count += int(mask.sum())
+    return count
 
 
 def build_structural_codeword(n: int, q: int, u, v, fill) -> list[list[int]]:

@@ -29,6 +29,8 @@ from conftest import (
     brute_deletion_candidates,
     brute_insertion_candidates,
     build_structural_codeword,
+    count_arrays_bruteforce,
+    enumerate_protected_words,
 )
 from crisscodec import analysis, crisscross, fixtures, rll_suffix, vt_core
 from crisscodec.crisscross import CodeParams
@@ -203,16 +205,19 @@ def test_acc06_redundancy_bounds():
 @pytest.mark.slow
 @criterion("code-size-identity")
 def test_acc07_code_size_identity():
+    u_rows = enumerate_protected_words(4, 3, (0, 2))
+    v_rows = enumerate_protected_words(4, 3, (0, 1, 2))
     start = time.perf_counter()
-    brute = analysis.count_code_size(4, 3, mode="bruteforce")
+    brute = count_arrays_bruteforce(4, 3, u_rows, v_rows)
     elapsed = time.perf_counter() - start
-    formula = analysis.count_code_size(4, 3, mode="formula")
-    assert brute.size == formula.size == FROZEN_CODE_SIZE_4_3 == 0
-    assert (brute.first_row_count, brute.last_column_count) == (0, 0)
+    formula = analysis.count_code_size(4, 3)
+    assert brute == formula.size == FROZEN_CODE_SIZE_4_3 == 0
+    assert (len(u_rows), len(v_rows)) == (0, 0)
+    assert (formula.first_row_count, formula.last_column_count) == (0, 0)
     assert elapsed < 300, f"3^16 enumeration took {elapsed:.0f} s (budget 300 s)"
     return (
         f"all 3^16 arrays enumerated in {elapsed:.1f} s; both counts are "
-        f"{brute.size} (the smallest instance is empty)"
+        f"{brute} (the smallest instance is empty)"
     )
 
 
@@ -225,8 +230,8 @@ def test_acc08_ball_disjointness():
 
     count = analysis.count_code_size(5, 8)
     assert (count.first_row_count, count.last_column_count) == (1, 1)
-    _, u_rows = analysis.protected_row_count(5, 8, (0, 2), collect=True)
-    _, v_rows = analysis.protected_row_count(5, 8, (0, 1, 2), collect=True)
+    u_rows = enumerate_protected_words(5, 8, (0, 2))
+    v_rows = enumerate_protected_words(5, 8, (0, 1, 2))
     rng = random.Random(2)
     fills = {tuple(rng.randrange(8) for _ in range(7)) for _ in range(20)}
     balls = [
@@ -307,4 +312,22 @@ def test_acc11_quadratic_scaling():
         "encode+corrupt+decode: "
         + ", ".join(f"{times[n] * 1e3:.1f} ms at n={n}" for n in sizes)
         + f"; fitted doubling factor {doubling:.2f}"
+    )
+
+
+@criterion("code-redundancy")
+def test_acc12_code_redundancy():
+    # The paper's claim for q = Omega(n): the code redundancy n^2 - log_q|C|
+    # is 2n + 2 log_q n + O(1).  At q = n + 1 the exact count puts it a
+    # nearly constant 9 symbols above the lower bound 2n + 2 log_q n - 3.
+    expected = {11: 30, 16: 40, 32: 72}
+    gaps = {}
+    for n, redundancy in expected.items():
+        q = n + 1
+        size = analysis.count_code_size(n, q)
+        assert size.redundancy == redundancy, (n, size.redundancy)
+        gaps[n] = redundancy - (2 * n + 2 * math.log(n, q) - 3)
+        assert 9 < gaps[n] < 9.1, (n, gaps[n])
+    return "code redundancy at q = n + 1: " + ", ".join(
+        f"n={n}: {expected[n]} (lower bound + {gap:.2f})" for n, gap in gaps.items()
     )

@@ -7,8 +7,8 @@ import math
 
 import pytest
 
-from conftest import enumerate_protected_words
-from crisscodec import analysis
+from conftest import count_arrays_bruteforce, enumerate_protected_words
+from crisscodec import analysis, rll_suffix
 from crisscodec.errors import EncodingError
 
 
@@ -91,25 +91,39 @@ class TestReports:
 class TestProtectedRowCount:
     @pytest.mark.parametrize(
         "n,q,suffix",
-        [(5, 8, (0, 2)), (5, 8, (0, 1, 2)), (8, 3, (0, 2)), (7, 4, (0, 1, 2))],
+        [
+            (5, 8, (0, 2)),
+            (5, 8, (0, 1, 2)),
+            (8, 3, (0, 2)),
+            (7, 4, (0, 1, 2)),
+            (9, 3, (0, 1, 2)),
+            (6, 7, (3, 1)),
+            (7, 5, (1, 0)),
+            (5, 8, (2, 2)),  # the suffix itself repeats a symbol
+            (4, 5, (0, 1, 4, 0)),  # the suffix is the whole word, a protected one
+        ],
     )
     def test_agrees_with_pure_enumeration(self, n, q, suffix):
         expected = enumerate_protected_words(n, q, suffix)
-        count, rows = analysis.protected_row_count(n, q, suffix, collect=True)
-        assert count == len(expected)
-        assert sorted(map(tuple, rows)) == sorted(map(tuple, expected))
-        count_only, none_rows = analysis.protected_row_count(n, q, suffix)
-        assert count_only == count and none_rows is None
+        assert analysis.protected_row_count(n, q, suffix) == len(expected)
 
     def test_guard(self):
-        with pytest.raises(ValueError, match="guard"):
-            analysis.protected_row_count(30, 7, (0, 2))
+        # (126 free positions) x (128 values) x (128 * 129 residues) > 10^8
+        with pytest.raises(ValueError, match="work guard"):
+            analysis.protected_row_count(128, 129, (0, 2))
+
+    def test_bad_suffix(self):
+        with pytest.raises(ValueError, match="suffix"):
+            analysis.protected_row_count(5, 3, (0, 3))
+        with pytest.raises(ValueError, match="suffix"):
+            analysis.protected_row_count(4, 3, (0, 1, 2, 0, 1))
+        with pytest.raises(ValueError, match="suffix"):
+            analysis.protected_row_count(4, 3, ())
 
 
 class TestCodeSize:
     def test_smallest_instance_is_empty(self):
         size = analysis.count_code_size(4, 3)
-        assert size.mode == "formula"
         assert size.first_row_count == 0
         assert size.last_column_count == 0
         assert size.size == 0
@@ -132,27 +146,42 @@ class TestCodeSize:
                 size.first_row_count * size.last_column_count * q ** ((n - 2) ** 2 - 2)
             )
 
-    def test_bruteforce_finds_planted_codewords(self, monkeypatch):
+    def test_pinned_grid(self):
+        # (first rows, last columns, code size), as counted by enumerating
+        # every q^n word before the syndrome DP replaced the enumeration.
+        pinned = {
+            (12, 3): (28, 12, 19240760773995089692027882177916527514212014154704),
+            (8, 5): (105, 12, 733416527509689331054687500),
+            (7, 7): (230, 13, 81832554546841939865570),
+            (6, 11): (125, 33, 1566468063530869125),
+        }
+        for (n, q), expected in pinned.items():
+            size = analysis.count_code_size(n, q)
+            assert (size.first_row_count, size.last_column_count, size.size) == expected
+            assert size.redundancy == n * n - rll_suffix.int_log_floor(q, size.size)
+
+    def test_bruteforce_finds_planted_codewords(self):
         # No row or column is protected at (4, 3).  With every word that
         # ends in the suffix planted as protected, the enumeration must find
         # exactly the arrays the structural formula counts.
-        def planted(n, q, suffix, collect=False):
-            words = itertools.product(range(q), repeat=n)
-            rows = [list(w) for w in words if w[n - len(suffix) :] == suffix]
-            return len(rows), rows if collect else None
+        def planted(suffix):
+            words = itertools.product(range(3), repeat=4)
+            return [list(w) for w in words if w[4 - len(suffix) :] == suffix]
 
-        monkeypatch.setattr(analysis, "protected_row_count", planted)
-        brute = analysis.count_code_size(4, 3, mode="bruteforce")
-        assert (brute.first_row_count, brute.last_column_count) == (9, 3)
-        assert brute.size == analysis.count_code_size(4, 3).size == 9 * 3 * 3**2
+        u_rows, v_rows = planted((0, 2)), planted((0, 1, 2))
+        assert (len(u_rows), len(v_rows)) == (9, 3)
+        assert count_arrays_bruteforce(4, 3, u_rows, v_rows) == 9 * 3 * 3**2
 
     def test_bruteforce_guard(self):
-        with pytest.raises(ValueError, match="guard"):
-            analysis.count_code_size(5, 8, mode="bruteforce")
+        # Refused before the DP allocates its qn = 10^10 residue counts.
+        with pytest.raises(ValueError, match="work guard"):
+            analysis.count_code_size(100_000, 100_000)
 
     def test_bad_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            analysis.count_code_size(4, 3, mode="exact")
+        for mode in ("exact", "bruteforce"):
+            with pytest.raises(ValueError, match="mode"):
+                analysis.count_code_size(4, 3, mode=mode)
+        assert analysis.count_code_size(5, 8, "formula").size == 8**7
 
     def test_params_validated(self):
         with pytest.raises(ValueError):

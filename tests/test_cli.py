@@ -194,9 +194,21 @@ class TestCount:
         assert "code size:               2097152" in out
         assert "code redundancy:         18 symbols" in out
 
+    def test_size_beyond_the_int_to_str_limit(self, capsys):
+        # The size has more decimal digits than str() of an int may produce
+        # (4300 by default since Python 3.10.7 and 3.11).
+        assert main(["count", "--n", "100", "--q", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "code size:               557964598508055070821841084100403971576345271133846908 * 3^9602" in out
+        assert "code redundancy:         286 symbols" in out
+
     def test_bruteforce_guard(self, capsys):
-        assert main(["count", "--n", "5", "--q", "8", "--mode", "bruteforce"]) == 2
-        assert "guard" in capsys.readouterr().err
+        assert main(["count", "--n", "100000", "--q", "100000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "work guard" in err
+        assert "Traceback" not in err
+        assert main(["count", "--n", "4", "--q", "3", "--mode", "bruteforce"]) == 2
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
 
 
 class TestFixturesCommand:
@@ -243,14 +255,29 @@ def test_console_script_is_installed():
     assert "2097152" in proc.stdout
 
 
-def test_python_dash_m_runs_the_cli():
+def _run_python(*args):
     src = Path(crisscodec.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "crisscodec", "--help"],
+    return subprocess.run(
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _run_python("-m", "crisscodec", "--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: crisscodec")
+
+
+def test_count_runs_without_numpy():
+    # A None entry in sys.modules makes every `import numpy` fail.
+    proc = _run_python(
+        "-c",
+        "import sys; sys.modules['numpy'] = None; from crisscodec.cli import main; "
+        "sys.exit(main(['count', '--n', '12', '--q', '3']))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "protected first rows:    28" in proc.stdout

@@ -14,7 +14,8 @@ def test_importing_the_codec_does_not_load_numpy():
     src = Path(crisscodec.__file__).resolve().parents[1]
     code = (
         "import sys, crisscodec, crisscodec.crisscross, crisscodec.fileio, "
-        "crisscodec.selftest, crisscodec.fixtures\n"
+        "crisscodec.selftest, crisscodec.fixtures, crisscodec.analysis, "
+        "crisscodec.cli\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'"
     )
     proc = subprocess.run(

@@ -165,6 +165,11 @@ class TestEncode:
             outcomes.add("codeword")
         assert outcomes == {"overflow", "codeword"}
 
+    def test_output_failing_membership_is_encoding_error(self, monkeypatch):
+        monkeypatch.setattr(rll_suffix, "is_member", lambda x, params: False)
+        with pytest.raises(EncodingError, match="outside its own code"):
+            rll_suffix.encode([0] * rll_suffix.data_length(7, 7), GOLDEN_PARAMS)
+
 
 def greedy_overflows(n, m, q):
     """True iff the greedy pass overflows for some residue, by trying every one."""
