@@ -20,15 +20,23 @@ Arrays are lists of row lists; positions are 1-based in the public API.
 
 Input is checked once, at the public boundary: `first_violation`,
 `encode`, `decode` and `recover_data` check the shape and alphabet of
-what they are given, and the helpers they call assume valid input.  The
-decoder still runs the full `first_violation` on its output, which is
-what guarantees that it never returns a non-codeword.
+what they are given, and the helpers they call assume valid input.  An
+array of plain ints is checked as a whole, by one pass over the types
+of its entries and one over their distinct values.  Only if that fails
+is it checked row by row, which coerces other integer types (numpy's,
+say), rejects bool and names the first bad entry.  The
+encoder checks the alphabet of the parity entries it computed before it
+checks the codeword conditions.  The decoder runs the full
+`first_violation` on its output and reports any failure there, a
+rebuilt entry outside the alphabet included, as NotDecodableError; that
+is what guarantees that it never returns a non-codeword.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from . import rll_suffix, vt_core
@@ -101,11 +109,23 @@ def last_column_params(params: CodeParams) -> RllSuffixParams:
 
 def _check_array(
     X: Sequence[Sequence[int]], rows: int, cols: int, q: int
-) -> list[Sequence[int]]:
-    """The rows of X as plain ints; raises unless X is a rows x cols array over the alphabet."""
-    if len(X) != rows or any(len(r) != cols for r in X):
-        shape = f"{len(X)}x{len(X[0]) if X else 0}"
-        raise ValueError(f"expected a {rows}x{cols} array, got {shape}")
+) -> Sequence[Sequence[int]]:
+    """The rows of X as plain ints; raises unless X is a rows x cols array over the alphabet.
+
+    An array of plain ints in range is checked as a whole and returned as
+    it is.  Anything else goes row by row through check_symbols, which
+    coerces other integer types and names the first bad entry.
+    """
+    lengths = list(map(len, X))
+    if len(lengths) != rows:
+        raise ValueError(f"expected a {rows}x{cols} array, got {len(lengths)} rows")
+    if lengths.count(cols) != rows:
+        i = next(i for i, length in enumerate(lengths) if length != cols)
+        raise ValueError(f"expected a {rows}x{cols} array, row {i + 1} has {lengths[i]} entries")
+    if set(map(type, chain.from_iterable(X))) == {int}:
+        symbols = set(chain.from_iterable(X))
+        if min(symbols) >= 0 and max(symbols) < q:
+            return X
     return [vt_core.check_symbols(row, q, f"row {i}") for i, row in enumerate(X, start=1)]
 
 
@@ -264,7 +284,13 @@ def encode_with_trace(
     v = rll_suffix.encode(digits[ml.k1 :], last_column_params(params))
 
     X = _assemble(u, v, data[ml.k3 :], params)
-    violation = _violation(X, params)
+    # Every other entry is checked data, a marker or part of a checked 1-D
+    # codeword; _violation sees the parity entries only through sums mod q.
+    parity = X[-1] + [row[0] for row in X]
+    if min(parity) < 0 or max(parity) >= q:
+        violation = f"a parity entry is outside the alphabet [0, {q})"
+    else:
+        violation = _violation(X, params)
     if violation is not None:
         raise EncodingError(f"encoder produced an invalid array: {violation}")
     trace = ArrayEncodeTrace(packed, tuple(digits), list(u), list(v))
@@ -286,7 +312,10 @@ def decode_with_trace(
     locate the deleted row through the protected last column, rebuild it
     from column parity, then do the same for the deleted column through
     the protected first row.  The result is validated against the
-    codeword conditions before being returned.
+    codeword conditions before being returned.  Y is checked on entry,
+    so a ValueError raised later means that a rebuilt entry is outside
+    the alphabet; like every other failure, it is raised as
+    NotDecodableError.
     """
     n, q = params.n, params.q
     work = [list(row) for row in _check_array(Y, n - 1, n - 1, q)]
@@ -302,7 +331,7 @@ def decode_with_trace(
     column_word = [row[-1] for row in reversed(work)]
     try:
         v_result = rll_suffix.decode(column_word, last_column_params(params))
-    except DecodingError as exc:
+    except (DecodingError, ValueError) as exc:
         raise NotDecodableError(f"cannot locate the deleted row: {exc}") from exc
     row_index = n - v_result.position + 1
     row_values = _parity(map(sum, zip(*work)), q)
@@ -314,14 +343,17 @@ def decode_with_trace(
     else:
         try:
             u_result = rll_suffix.decode(work[0], first_row_params(params))
-        except DecodingError as exc:
+        except (DecodingError, ValueError) as exc:
             raise NotDecodableError(f"cannot locate the deleted column: {exc}") from exc
         col_index = u_result.position
         col_values = _parity(map(sum, work), q)
         for row, value in zip(work, col_values):
             row.insert(col_index - 1, value)
 
-    violation = first_violation(work, params)
+    try:
+        violation = first_violation(work, params)
+    except ValueError as exc:
+        violation = str(exc)
     if violation is not None:
         raise NotDecodableError(f"reconstructed array is not a codeword: {violation}")
     trace = ArrayDecodeTrace(

@@ -54,12 +54,12 @@ class ArrayFile:
             if self.symbols is not None or self.rows is None:
                 raise ValueError(f'kind "{self.kind}" carries "rows", not "symbols"')
             dim = self.n if self.kind == "array" else self.n - 1
-            if len(self.rows) != dim or any(len(r) != dim for r in self.rows):
-                shape = f"{len(self.rows)}x{len(self.rows[0]) if self.rows else 0}"
-                raise ValueError(
-                    f'kind "{self.kind}" with n={self.n} needs a {dim}x{dim} '
-                    f"matrix, got {shape}"
-                )
+            needs = f'kind "{self.kind}" with n={self.n} needs a {dim}x{dim} matrix'
+            if len(self.rows) != dim:
+                raise ValueError(f"{needs}, got {len(self.rows)} rows")
+            for i, row in enumerate(self.rows):
+                if len(row) != dim:
+                    raise ValueError(f"{needs}, rows[{i}] has {len(row)} entries")
             rows = tuple(
                 tuple(vt_core.check_symbols(row, self.q, f"rows[{i}]"))
                 for i, row in enumerate(self.rows)

@@ -120,6 +120,7 @@ def data_length(n: int, q: int) -> int:
     return n - int_log_floor(q - 1, n) - 4
 
 
+@lru_cache
 def index_sets(n: int, q: int) -> IndexSets:
     """Split body positions 1..n into power, high and data positions.
 

@@ -15,7 +15,9 @@ parameter objects.  Positions in the public API are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice, repeat
 from numbers import Integral
+from operator import mod, mul, ne, sub
 from typing import NamedTuple, Sequence
 
 from .errors import AmbiguousCodewordError, NoCandidateError
@@ -79,9 +81,8 @@ def diff(x: Sequence[int], q: int) -> list[int]:
     """Differential transform: y_i = x_i - x_{i+1} (mod q), y_n = x_n."""
     if not len(x):
         raise ValueError("cannot transform an empty sequence")
-    n = len(x)
-    y = [(x[i] - x[i + 1]) % q for i in range(n - 1)]
-    y.append(x[n - 1])
+    y = list(map(mod, map(sub, x, islice(x, 1, None)), repeat(q)))
+    y.append(x[-1])
     return y
 
 
@@ -100,12 +101,12 @@ def diff_inverse(y: Sequence[int], q: int) -> list[int]:
 
 def syndrome(y: Sequence[int]) -> int:
     """VT syndrome sum(i * y_i) over 1-based positions, as an exact int."""
-    return sum(i * s for i, s in enumerate(y, start=1))
+    return sum(map(mul, y, count(1)))
 
 
 def adjacent_distinct(x: Sequence[int]) -> bool:
     """True when no two adjacent symbols of x are equal."""
-    return all(x[i] != x[i + 1] for i in range(len(x) - 1))
+    return all(map(ne, x, islice(x, 1, None)))
 
 
 def is_dvt_member(x: Sequence[int], params: DvtParams) -> bool:

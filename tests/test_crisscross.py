@@ -314,30 +314,73 @@ class TestInputBoundary:
         with pytest.raises(ValueError, match=r"^row 5\[0\] = True is outside"):
             crisscross.recover_data(X, GOLDEN_PARAMS)
 
-    def test_each_input_row_is_scanned_once(self, monkeypatch):
-        # Array-level scans are named "row i" or "data".  The first row and
-        # the last column are checked again, as 1-D words, by the public
-        # rll_suffix functions; that is one O(n) scan each.
-        scanned = []
-        real = vt_core.check_symbols
+    def test_each_input_array_is_scanned_once(self, monkeypatch):
+        # Each public call checks its input array, or its data, once, and a
+        # valid array of plain ints in one pass: no row is checked on its
+        # own.  The first row and the last column are checked again, as 1-D
+        # words, by the public rll_suffix functions; that is one O(n) scan
+        # each.  The decoder's final check scans its own output, not Y.
+        scanned, row_scans = [], []
+        real_array, real_symbols = crisscross._check_array, vt_core.check_symbols
 
-        def spy(x, q, name="sequence"):
-            if name == "data" or name.startswith("row "):
+        def array_spy(X, rows, cols, q):
+            scanned.append(X)
+            return real_array(X, rows, cols, q)
+
+        def symbols_spy(x, q, name="sequence"):
+            if name == "data":
                 scanned.append(x)
-            return real(x, q, name)
+            if name.startswith("row "):
+                row_scans.append(x)
+            return real_symbols(x, q, name)
 
-        monkeypatch.setattr(vt_core, "check_symbols", spy)
+        monkeypatch.setattr(crisscross, "_check_array", array_spy)
+        monkeypatch.setattr(vt_core, "check_symbols", symbols_spy)
         data = list(GOLDEN_DATA)
         Y = [list(r) for r in GOLDEN_RECEIVED_9_9]
         X = [list(r) for r in GOLDEN_ARRAY]
-        for call, inputs in (
-            (lambda: crisscross.encode(data, GOLDEN_PARAMS), [data]),
+        for call, given in (
+            (lambda: crisscross.encode(data, GOLDEN_PARAMS), data),
             (lambda: crisscross.decode(Y, GOLDEN_PARAMS), Y),
             (lambda: crisscross.recover_data(X, GOLDEN_PARAMS), X),
+            (lambda: crisscross.first_violation(X, GOLDEN_PARAMS), X),
         ):
             scanned.clear()
             call()
-            assert [sum(s is x for s in scanned) for x in inputs] == [1] * len(inputs)
+            assert sum(s is given for s in scanned) == 1
+        assert row_scans == []
+
+    @pytest.mark.parametrize("bad", [True, np.int64(7), 2.0, "3", -1, 7], ids=repr)
+    def test_one_pass_check_agrees_with_the_row_by_row_check(self, bad):
+        # Whatever the one-pass check refuses, the error is the one the
+        # row-by-row check gives: it names the first bad entry.
+        rng = random.Random(f"one-pass:{bad!r}")
+        for _ in range(20):
+            received = rng.random() < 0.5
+            A = [list(r) for r in (GOLDEN_RECEIVED_9_9 if received else GOLDEN_ARRAY)]
+            r, k = rng.randrange(len(A)), rng.randrange(len(A))
+            A[r][k] = bad
+            with pytest.raises(ValueError) as reference:
+                for i, row in enumerate(A, start=1):
+                    vt_core.check_symbols(row, GOLDEN_PARAMS.q, f"row {i}")
+            call = crisscross.decode if received else crisscross.first_violation
+            with pytest.raises(ValueError) as got:
+                call(A, GOLDEN_PARAMS)
+            assert type(got.value) is ValueError
+            assert str(got.value) == str(reference.value)
+            assert str(got.value).startswith(f"row {r + 1}[{k}] = {bad!r} ")
+
+    def test_ragged_array_names_the_bad_row(self):
+        X = [list(r) for r in GOLDEN_ARRAY]
+        X[2].pop()
+        with pytest.raises(ValueError, match=r"^expected a 9x9 array, row 3 has 8 entries$"):
+            crisscross.first_violation(X, GOLDEN_PARAMS)
+        Y = [list(r) for r in GOLDEN_RECEIVED_9_9]
+        Y[4].append(0)
+        with pytest.raises(ValueError, match=r"^expected a 8x8 array, row 5 has 9 entries$"):
+            crisscross.decode(Y, GOLDEN_PARAMS)
+        with pytest.raises(ValueError, match=r"^expected a 8x8 array, got 9 rows$"):
+            crisscross.decode([row[:8] for row in GOLDEN_ARRAY], GOLDEN_PARAMS)
 
     def test_final_check_catches_a_wrong_parity_rebuild(self, monkeypatch):
         real = crisscross._parity
@@ -347,6 +390,22 @@ class TestInputBoundary:
         Y = crisscross.corrupt(GOLDEN_ARRAY, 5, 4)
         with pytest.raises(NotDecodableError, match="^reconstructed array is not a codeword"):
             crisscross.decode(Y, GOLDEN_PARAMS)
+
+    def test_parity_outside_the_alphabet_is_refused(self, monkeypatch):
+        # A _parity that forgot "% q" still brings every sum to 0 (mod q),
+        # so only an alphabet check of the computed entries catches it.
+        received = [
+            crisscross.corrupt(GOLDEN_ARRAY, i, j) for i in range(1, 10) for j in range(1, 10)
+        ]
+        monkeypatch.setattr(crisscross, "_parity", lambda sums, q: [-s for s in sums])
+        with pytest.raises(EncodingError, match="parity entry is outside the alphabet"):
+            crisscross.encode(GOLDEN_DATA, GOLDEN_PARAMS)
+        finals = 0
+        for Y in received:
+            with pytest.raises(NotDecodableError) as refused:
+                crisscross.decode(Y, GOLDEN_PARAMS)
+            finals += str(refused.value).startswith("reconstructed array is not a codeword: row ")
+        assert finals > 0
 
 
 class TestRecoverData:

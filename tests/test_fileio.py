@@ -90,6 +90,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             ArrayFile(kind="array", q=3, n=2, rows=[[0, 1], [2, 0, 1]])
 
+    def test_ragged_rows_name_the_bad_row(self):
+        with pytest.raises(ValueError, match=r"needs a 3x3 matrix, rows\[1\] has 2 entries$"):
+            ArrayFile(kind="array", q=3, n=3, rows=[[0, 1, 2], [0, 1], [0, 1, 2]])
+        with pytest.raises(ValueError, match=r"needs a 2x2 matrix, got 3 rows$"):
+            ArrayFile(kind="received", q=3, n=3, rows=[[0, 1], [0, 1], [0, 1]])
+
     def test_symbol_range(self):
         with pytest.raises(ValueError, match="alphabet"):
             ArrayFile(kind="array", q=3, n=2, rows=[[0, 3], [0, 0]])

@@ -65,6 +65,44 @@ class TestSyndrome:
         assert vt_core.syndrome(y) == 10**9 * (100 * 101 // 2)
 
 
+def diff_loop(x, q):
+    return [(x[i] - x[i + 1]) % q for i in range(len(x) - 1)] + [x[-1]]
+
+
+def syndrome_loop(y):
+    total = 0
+    for i in range(len(y)):
+        total += (i + 1) * y[i]
+    return total
+
+
+def adjacent_distinct_loop(x):
+    for i in range(len(x) - 1):
+        if x[i] == x[i + 1]:
+            return False
+    return True
+
+
+class TestKernelsAgainstLoops:
+    """diff, syndrome and adjacent_distinct run in C builtins; index loops are the reference."""
+
+    def test_random_words(self):
+        rng = random.Random(7)
+        for trial in range(600):
+            q = rng.randrange(2, 300)
+            x = [rng.randrange(q) for _ in range(rng.randrange(1, 40))]
+            if trial % 3 == 0:  # make equal neighbours common
+                x = [min(s, 1) for s in x]
+            for word in (x, tuple(x), np.array(x)):
+                assert vt_core.diff(word, q) == diff_loop(word, q)
+                assert vt_core.syndrome(word) == syndrome_loop(word)
+                assert vt_core.adjacent_distinct(word) == adjacent_distinct_loop(word)
+
+    def test_empty_word(self):
+        assert vt_core.syndrome([]) == syndrome_loop([]) == 0
+        assert vt_core.adjacent_distinct([]) is adjacent_distinct_loop([]) is True
+
+
 class TestDvtParams:
     def test_validation(self):
         with pytest.raises(ValueError):
