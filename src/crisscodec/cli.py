@@ -42,16 +42,16 @@ def cmd_encode(args: argparse.Namespace) -> int:
             f"but the command line says n={args.n}, q={args.q}"
         )
     params = CodeParams(args.n, args.q)
-    X = crisscross.encode(list(f.symbols or ()), params)
-    out = fileio.ArrayFile("array", args.q, args.n, rows=tuple(map(tuple, X)))
+    X = crisscross.encode(f.symbols, params)
+    out = fileio.ArrayFile("array", args.q, args.n, rows=X)
     _write_output(fileio.dumps(out), args.out)
     return 0
 
 
 def cmd_corrupt(args: argparse.Namespace) -> int:
     f = _load(args.infile, "array")
-    received = crisscross.corrupt(f.row_lists(), args.row, args.col)
-    out = fileio.ArrayFile("received", f.q, f.n, rows=tuple(map(tuple, received)))
+    received = crisscross.corrupt(f.rows, args.row, args.col)
+    out = fileio.ArrayFile("received", f.q, f.n, rows=received)
     _write_output(fileio.dumps(out), args.out)
     return 0
 
@@ -59,8 +59,8 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
 def cmd_decode(args: argparse.Namespace) -> int:
     f = _load(args.infile, "received")
     params = CodeParams(f.n, f.q)
-    X = crisscross.decode(f.row_lists(), params)
-    out = fileio.ArrayFile("array", f.q, f.n, rows=tuple(map(tuple, X)))
+    X = crisscross.decode(f.rows, params)
+    out = fileio.ArrayFile("array", f.q, f.n, rows=X)
     _write_output(fileio.dumps(out), args.out)
     return 0
 
@@ -68,15 +68,15 @@ def cmd_decode(args: argparse.Namespace) -> int:
 def cmd_recover(args: argparse.Namespace) -> int:
     f = _load(args.infile, "array")
     params = CodeParams(f.n, f.q)
-    data = crisscross.recover_data(f.row_lists(), params)
-    out = fileio.ArrayFile("data", f.q, f.n, symbols=tuple(data))
+    data = crisscross.recover_data(f.rows, params)
+    out = fileio.ArrayFile("data", f.q, f.n, symbols=data)
     _write_output(fileio.dumps(out), args.out)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     f = _load(args.infile, "array")
-    violation = crisscross.first_violation(f.row_lists(), CodeParams(f.n, f.q))
+    violation = crisscross.first_violation(f.rows, CodeParams(f.n, f.q))
     if violation is not None:
         print(f"{args.infile}: not a codeword: {violation}", file=sys.stderr)
         return 2

@@ -20,11 +20,14 @@ Arrays are lists of row lists; positions are 1-based in the public API.
 
 Input is checked once, at the public boundary: `first_violation`,
 `encode`, `decode` and `recover_data` check the shape and alphabet of
-what they are given, and the helpers they call assume valid input.  An
-array of plain ints is checked as a whole, by one pass over the types
-of its entries and one over their distinct values.  Only if that fails
-is it checked row by row, which coerces other integer types (numpy's,
-say), rejects bool and names the first bad entry.  The
+what they are given, and the helpers they call assume valid input.
+`check_array` is that one array check, and `fileio` checks the arrays
+it reads with it too.  An array of plain ints is checked as a whole, by
+one pass over the types of its entries and one over their distinct
+values.  Only if that fails is it checked row by row, which coerces
+other integer types (numpy's, say), rejects bool and names the first
+bad entry as `row r[k]`, a 1-based row r and a 0-based entry k.  No
+public function mutates the arrays it is given.  The
 encoder checks the alphabet of the parity entries it computed before it
 checks the codeword conditions.  The decoder runs the full
 `first_violation` on its output and reports any failure there, a
@@ -107,7 +110,7 @@ def last_column_params(params: CodeParams) -> RllSuffixParams:
     return RllSuffixParams(params.n - 3, params.q, 0, (0, 1, 2))
 
 
-def _check_array(
+def check_array(
     X: Sequence[Sequence[int]], rows: int, cols: int, q: int
 ) -> Sequence[Sequence[int]]:
     """The rows of X as plain ints; raises unless X is a rows x cols array over the alphabet.
@@ -198,7 +201,7 @@ def first_violation(X: Sequence[Sequence[int]], params: CodeParams) -> str | Non
 
     Raises ValueError unless X is an n x n array over the alphabet.
     """
-    return _violation(_check_array(X, params.n, params.n, params.q), params)
+    return _violation(check_array(X, params.n, params.n, params.q), params)
 
 
 def is_codeword(X: Sequence[Sequence[int]], params: CodeParams) -> bool:
@@ -318,7 +321,7 @@ def decode_with_trace(
     NotDecodableError.
     """
     n, q = params.n, params.q
-    work = [list(row) for row in _check_array(Y, n - 1, n - 1, q)]
+    work = [list(row) for row in check_array(Y, n - 1, n - 1, q)]
 
     # The fixed entries next to the top right corner make the pair
     # (Y[1][n-1], Y[2][n-1]) increase exactly when the deleted column
@@ -377,7 +380,7 @@ def recover_data(X: Sequence[Sequence[int]], params: CodeParams) -> list[int]:
     """Read the message symbols back out of a codeword (inverse of encode)."""
     n, q = params.n, params.q
     ml = message_lengths(params)
-    X = _check_array(X, n, n, q)
+    X = check_array(X, n, n, q)
     violation = _violation(X, params)
     if violation is not None:
         raise ValueError(f"input is not a codeword: {violation}")

@@ -7,7 +7,11 @@ One self-describing schema covers all three payload kinds:
   {"kind": "data",     "q": 7, "n": 9, "symbols": [...]}
 
 `n` always records the code dimension, so a received array remembers
-what it was cut from.  Serialization is canonical (fixed key order, one
+what it was cut from.  Rows are checked by the codec's own array check,
+`crisscross.check_array`, so a bad file reads the same error as a bad
+array passed to the codec: "expected a 9x9 array, row 3 has 8 entries",
+or "row 3[5] = 7 is outside the alphabet [0, 7)" for a 1-based row and
+a 0-based entry.  Serialization is canonical (fixed key order, one
 row per line, trailing newline): equal values produce byte-identical
 files, and parsing then serializing a canonical file reproduces it
 exactly.
@@ -19,7 +23,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import vt_core
+from . import crisscross, vt_core
 
 KINDS = ("array", "received", "data")
 
@@ -54,22 +58,8 @@ class ArrayFile:
             if self.symbols is not None or self.rows is None:
                 raise ValueError(f'kind "{self.kind}" carries "rows", not "symbols"')
             dim = self.n if self.kind == "array" else self.n - 1
-            needs = f'kind "{self.kind}" with n={self.n} needs a {dim}x{dim} matrix'
-            if len(self.rows) != dim:
-                raise ValueError(f"{needs}, got {len(self.rows)} rows")
-            for i, row in enumerate(self.rows):
-                if len(row) != dim:
-                    raise ValueError(f"{needs}, rows[{i}] has {len(row)} entries")
-            rows = tuple(
-                tuple(vt_core.check_symbols(row, self.q, f"rows[{i}]"))
-                for i, row in enumerate(self.rows)
-            )
-            object.__setattr__(self, "rows", rows)
-
-    def row_lists(self) -> list[list[int]]:
-        """Rows as mutable lists (the shape codec functions expect)."""
-        assert self.rows is not None
-        return [list(r) for r in self.rows]
+            rows = crisscross.check_array(self.rows, dim, dim, self.q)
+            object.__setattr__(self, "rows", tuple(map(tuple, rows)))
 
 
 def loads(text: str) -> ArrayFile:

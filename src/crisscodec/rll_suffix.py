@@ -208,9 +208,7 @@ def encode_with_trace(
     expected = len(sets.data)
     if len(data) != expected:
         raise ValueError(f"expected {expected} data symbols, got {len(data)}")
-    for i, f in enumerate(data):
-        if not 0 <= f <= q - 2:
-            raise ValueError(f"data[{i}] = {f!r} is outside [0, {q - 2}]")
+    data = vt_core.check_symbols(data, q - 1, "data")
 
     total = n + m
     modulus = q * total
@@ -253,15 +251,20 @@ def encode(data: Sequence[int], params: RllSuffixParams) -> list[int]:
     return encode_with_trace(data, params)[0]
 
 
+def _differential(x: Sequence[int], params: RllSuffixParams) -> list[int] | None:
+    """diff(x) if x is a codeword of RLL_DVT_a(n, m; b), else None.
+
+    Raises ValueError unless x has the code length and lies in the alphabet.
+    """
+    y = vt_core.dvt_differential(x, params.dvt())
+    if y is None or not vt_core.adjacent_distinct(x) or tuple(x[params.n :]) != params.b:
+        return None
+    return y
+
+
 def is_member(x: Sequence[int], params: RllSuffixParams) -> bool:
     """Membership test: DVT syndrome, 1-RLL property and fixed suffix."""
-    if len(x) != params.length:
-        raise ValueError(f"expected a sequence of length {params.length}, got {len(x)}")
-    return (
-        vt_core.is_dvt_member(x, params.dvt())
-        and vt_core.adjacent_distinct(x)
-        and tuple(x[params.n :]) == params.b
-    )
+    return _differential(x, params) is not None
 
 
 def decode(received: Sequence[int], params: RllSuffixParams) -> vt_core.DeletionDecode:
@@ -275,17 +278,12 @@ def decode(received: Sequence[int], params: RllSuffixParams) -> vt_core.Deletion
 
 
 def recover_data(x: Sequence[int], params: RllSuffixParams) -> list[int]:
-    """Read the data symbols back out of a codeword (inverse of encode)."""
-    if not is_member(x, params):
+    """Read the data symbols back out of a codeword (inverse of encode).
+
+    A codeword is 1-RLL, so its differential is nonzero at every body
+    position, each data position included: it holds a data symbol plus one.
+    """
+    y = _differential(x, params)
+    if y is None:
         raise ValueError("input is not a codeword of this code")
-    y = vt_core.diff(vt_core.check_symbols(x, params.q), params.q)
-    sets = index_sets(params.n, params.q)
-    data = []
-    for pos in sets.data:
-        if y[pos - 1] == 0:
-            raise ValueError(
-                f"zero differential at data position {pos}: "
-                f"the codeword is not an encoder output"
-            )
-        data.append(y[pos - 1] - 1)
-    return data
+    return [y[pos - 1] - 1 for pos in index_sets(params.n, params.q).data]

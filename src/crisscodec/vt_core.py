@@ -109,12 +109,17 @@ def adjacent_distinct(x: Sequence[int]) -> bool:
     return all(map(ne, x, islice(x, 1, None)))
 
 
-def is_dvt_member(x: Sequence[int], params: DvtParams) -> bool:
-    """Membership test for DVT_a(n; q); raises on wrong length or alphabet."""
+def dvt_differential(x: Sequence[int], params: DvtParams) -> list[int] | None:
+    """diff(x) if x is a codeword of DVT_a(n; q), else None; raises on wrong length or alphabet."""
     if len(x) != params.n:
         raise ValueError(f"expected a sequence of length {params.n}, got {len(x)}")
-    x = check_symbols(x, params.q)
-    return syndrome(diff(x, params.q)) % params.modulus == params.a
+    y = diff(check_symbols(x, params.q), params.q)
+    return y if syndrome(y) % params.modulus == params.a else None
+
+
+def is_dvt_member(x: Sequence[int], params: DvtParams) -> bool:
+    """Membership test for DVT_a(n; q); raises on wrong length or alphabet."""
+    return dvt_differential(x, params) is not None
 
 
 def deletion_index(codeword: Sequence[int], received: Sequence[int]) -> int | None:

@@ -202,7 +202,6 @@ def test_acc06_redundancy_bounds():
     return "r(9,7) = 32 and all 324 grid points sit inside the bounds"
 
 
-@pytest.mark.slow
 @criterion("code-size-identity")
 def test_acc07_code_size_identity():
     u_rows = enumerate_protected_words(4, 3, (0, 2))

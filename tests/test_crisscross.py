@@ -17,7 +17,7 @@ from conftest import (
     build_structural_codeword,
     enumerate_protected_words,
 )
-from crisscodec import crisscross, rll_suffix, vt_core
+from crisscodec import crisscross, fileio, rll_suffix, vt_core
 from crisscodec.crisscross import CodeParams
 from crisscodec.errors import DecodingError, EncodingError, NotDecodableError
 from crisscodec.fixtures import SMALL_PAIR_FIRST, SMALL_PAIR_SECOND
@@ -320,8 +320,9 @@ class TestInputBoundary:
         # own.  The first row and the last column are checked again, as 1-D
         # words, by the public rll_suffix functions; that is one O(n) scan
         # each.  The decoder's final check scans its own output, not Y.
-        scanned, row_scans = [], []
-        real_array, real_symbols = crisscross._check_array, vt_core.check_symbols
+        # Reading an array file runs the same one array check.
+        scanned, symbol_scans = [], []
+        real_array, real_symbols = crisscross.check_array, vt_core.check_symbols
 
         def array_spy(X, rows, cols, q):
             scanned.append(X)
@@ -330,11 +331,10 @@ class TestInputBoundary:
         def symbols_spy(x, q, name="sequence"):
             if name == "data":
                 scanned.append(x)
-            if name.startswith("row "):
-                row_scans.append(x)
+            symbol_scans.append(name)
             return real_symbols(x, q, name)
 
-        monkeypatch.setattr(crisscross, "_check_array", array_spy)
+        monkeypatch.setattr(crisscross, "check_array", array_spy)
         monkeypatch.setattr(vt_core, "check_symbols", symbols_spy)
         data = list(GOLDEN_DATA)
         Y = [list(r) for r in GOLDEN_RECEIVED_9_9]
@@ -348,7 +348,14 @@ class TestInputBoundary:
             scanned.clear()
             call()
             assert sum(s is given for s in scanned) == 1
-        assert row_scans == []
+        assert not any(name.startswith("row ") for name in symbol_scans)
+
+        text = fileio.dumps(fileio.ArrayFile("array", 7, 9, rows=GOLDEN_ARRAY))
+        scanned.clear()
+        symbol_scans.clear()
+        f = fileio.loads(text)
+        assert f.rows == tuple(map(tuple, GOLDEN_ARRAY))
+        assert len(scanned) == 1 and symbol_scans == []
 
     @pytest.mark.parametrize("bad", [True, np.int64(7), 2.0, "3", -1, 7], ids=repr)
     def test_one_pass_check_agrees_with_the_row_by_row_check(self, bad):

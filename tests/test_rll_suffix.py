@@ -13,7 +13,8 @@ from conftest import (
     GOLDEN_TRACE_1D,
     enumerate_protected_words,
 )
-from crisscodec import rll_suffix
+from crisscodec import rll_suffix, vt_core
+from crisscodec.crisscross import CodeParams, first_row_params
 from crisscodec.errors import EncodingError, NoCandidateError
 from crisscodec.rll_suffix import RllSuffixParams
 
@@ -106,6 +107,14 @@ class TestEncode:
             rll_suffix.encode([0] * 4, params)  # needs 5 symbols
         with pytest.raises(ValueError):
             rll_suffix.encode([0, 0, 0, 0, 2], params)  # symbol must be <= q-2
+
+    @pytest.mark.parametrize("bad", [True, 1.0], ids=repr)
+    def test_data_symbols_must_be_plain_ints(self, bad):
+        # A bool is not a data symbol, and a float is the caller's fault,
+        # not a fault of the encoder's own output.
+        params = first_row_params(CodeParams(11, 3))
+        with pytest.raises(ValueError, match=r"^data\[0\] = "):
+            rll_suffix.encode([bad, 0], params)
 
     def test_exhaustive_smallest_proven_body(self):
         params = RllSuffixParams(8, 3, 0, (0,))
@@ -253,6 +262,25 @@ class TestRecoverData:
     def test_numpy_word(self):
         data = rll_suffix.recover_data(np.array(GOLDEN_CODEWORD_1D), GOLDEN_PARAMS)
         assert data == [0, 3] and all(type(f) is int for f in data)
+
+    def test_word_is_checked_and_transformed_once(self, monkeypatch):
+        calls = []
+        real_check, real_diff = vt_core.check_symbols, vt_core.diff
+
+        def check_spy(*args, **kwargs):
+            calls.append("check_symbols")
+            return real_check(*args, **kwargs)
+
+        def diff_spy(*args, **kwargs):
+            calls.append("diff")
+            return real_diff(*args, **kwargs)
+
+        monkeypatch.setattr(vt_core, "check_symbols", check_spy)
+        monkeypatch.setattr(vt_core, "diff", diff_spy)
+        for call in (rll_suffix.is_member, rll_suffix.recover_data):
+            calls.clear()
+            call(GOLDEN_CODEWORD_1D, GOLDEN_PARAMS)
+            assert sorted(calls) == ["check_symbols", "diff"], call.__name__
 
     def test_rejects_non_member(self):
         bad = list(GOLDEN_CODEWORD_1D)
