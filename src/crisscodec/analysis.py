@@ -1,14 +1,15 @@
 """Redundancy analysis and exact code-size counting.
 
 Redundancy rows report, per (n, q), the component message lengths, the
-encoder redundancy 4n - 2 - k3 (in q-ary symbols) and the theoretical
-lower/upper bounds it must sit between.  Floats appear only here, in
-reporting; everything the codec itself computes stays in exact ints.
+encoder redundancy n^2 - total (in q-ary symbols; that is, 4n - 2 - k3)
+and the theoretical lower/upper bounds it must sit between.  Floats
+appear only here, in reporting; everything the codec itself computes
+stays in exact ints.
 
 Code sizes are exact: the counts of protected first rows and last
-columns, each from a DP over syndrome residues, times q^free_cells(n)
-for the free interior cells (the marker and parity cells are then
-forced).
+columns, each from a DP over syndrome residues, times
+q^crisscross.free_cells(n) for the free interior cells (the marker and
+parity cells are then forced).
 CodeSize.redundancy is the code redundancy n^2 - floor(log_q |C|) that
 the paper bounds.  The DP is plain Python and needs no numpy; it
 refuses work beyond WORK_GUARD = 10^8 inner steps.
@@ -17,26 +18,13 @@ refuses work beyond WORK_GUARD = 10^8 inner steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from operator import add
 
 from . import crisscross, rll_suffix, vt_core
 from .crisscross import CodeParams
 
 WORK_GUARD = 10**8
-
-CSV_FIELDS = (
-    "n",
-    "q",
-    "k1",
-    "k2",
-    "k3",
-    "message_length",
-    "encoder_redundancy",
-    "lower_bound",
-    "upper_bound",
-    "gap",
-)
 
 
 @dataclass(frozen=True)
@@ -55,10 +43,13 @@ class AnalysisRow:
     gap: float
 
 
+CSV_FIELDS = tuple(field.name for field in fields(AnalysisRow))
+
+
 def analysis_row(n: int, q: int) -> AnalysisRow:
     """Redundancy row at (n, q); bounds are floats, the rest exact ints."""
     ml = crisscross.message_lengths(CodeParams(n, q))
-    redundancy = 4 * n - 2 - ml.k3
+    redundancy = n * n - ml.total
     log_q = math.log(q)
     lower = 2 * n + 2 * math.log(n) / log_q - 3
     upper = 2 * n + 2 * math.log(n) / log_q + (2 * n - 13) * math.log(q / (q - 1)) / log_q + 12
@@ -78,18 +69,7 @@ def bounds_hold(row: AnalysisRow, slack: float = 1e-9) -> bool:
 
 
 def _row_cells(row: AnalysisRow) -> list[str]:
-    return [
-        str(row.n),
-        str(row.q),
-        str(row.k1),
-        str(row.k2),
-        str(row.k3),
-        str(row.message_length),
-        str(row.encoder_redundancy),
-        f"{row.lower_bound:.6f}",
-        f"{row.upper_bound:.6f}",
-        f"{row.gap:.6f}",
-    ]
+    return [f"{value:.6f}" if isinstance(value, float) else str(value) for value in astuple(row)]
 
 
 def to_csv(rows: list[AnalysisRow]) -> str:
@@ -148,11 +128,6 @@ def protected_row_count(n: int, q: int, suffix: tuple[int, ...]) -> int:
     return counts[0]
 
 
-def free_cells(n: int) -> int:
-    """Interior cells an n x n codeword leaves free: (n-2)^2 minus the two markers."""
-    return (n - 2) ** 2 - 2
-
-
 def count_code_size(n: int, q: int, mode: str = "formula") -> CodeSize:
     """Exact |code(n, q)| by the structural formula.
 
@@ -163,12 +138,13 @@ def count_code_size(n: int, q: int, mode: str = "formula") -> CodeSize:
     params = CodeParams(n, q)  # validates n >= 4, q >= 3
     if mode != "formula":
         raise ValueError(f'mode must be "formula", got {mode!r}')
-    u_count = protected_row_count(params.n, params.q, (0, 2))
-    v_count = protected_row_count(params.n, params.q, (0, 1, 2))
+    u_count = protected_row_count(n, q, crisscross.first_row_params(params).b)
+    v_count = protected_row_count(n, q, crisscross.last_column_params(params).b)
     rows = u_count * v_count
-    size = rows * q ** free_cells(n)
-    # floor(log_q size) = free_cells(n) + floor(log_q rows).  int_log_floor on
-    # size itself multiplies (n-2)^2 times by numbers as long as size: 0.5 s
-    # at (400, 3), growing like n^4.
-    redundancy = n * n - free_cells(n) - rll_suffix.int_log_floor(q, rows) if rows else None
+    free = crisscross.free_cells(n)
+    size = rows * q**free
+    # floor(log_q size) = free + floor(log_q rows).  int_log_floor on size
+    # itself multiplies more than free times by numbers as long as size:
+    # 0.5 s at (400, 3), growing like n^4.
+    redundancy = n * n - free - rll_suffix.int_log_floor(q, rows) if rows else None
     return CodeSize(n, q, u_count, v_count, size, redundancy)

@@ -115,7 +115,7 @@ def cmd_count(args: argparse.Namespace) -> int:
             size = str(result.size)
         except ValueError:  # more digits than int-to-str conversion allows
             rows = result.first_row_count * result.last_column_count
-            size = f"{rows} * {result.q}^{analysis.free_cells(result.n)}"
+            size = f"{rows} * {result.q}^{crisscross.free_cells(result.n)}"
         print(f"code size:               {size}")
         print(f"code redundancy:         {result.redundancy} symbols")
     return 0

@@ -18,6 +18,11 @@ one.
 
 Arrays are lists of row lists; positions are 1-based in the public API.
 
+The array layout is stated once, by `first_row_params` and
+`last_column_params` (the 1-D codes of conditions 1 and 2) and
+`_message_slices` (the free interior cells, in message order); message
+lengths, `free_cells` and `analysis`'s code sizes derive from them.
+
 Input is checked once, at the public boundary: `first_violation`,
 `encode`, `decode` and `recover_data` check the shape and alphabet of
 what they are given, and the helpers they call assume valid input.
@@ -66,9 +71,11 @@ class CodeParams:
 class MessageLengths(NamedTuple):
     """Symbol counts carried by the protected row/column and the payload.
 
-    k1 and k2 are the free symbol counts of the first row and last
-    column, k3 the number of q-ary data symbols packed into them, and
-    total = n^2 - 4n + 2 + k3 the full message length.
+    k1 and k2 are the data symbol counts of the 1-D codes
+    first_row_params and last_column_params, k3 the number of q-ary
+    data symbols packed into them, and total = free_cells(n) + k3 the
+    full message length.  Those two and _message_slices are the one
+    statement of the array layout.
     """
 
     k1: int
@@ -149,6 +156,11 @@ def _message_slices(n: int) -> list[tuple[int, int, int]]:
     marker cells next to the last column in rows 1 and 2.
     """
     return [(1, 1, n - 2), (2, 1, n - 2)] + [(i, 1, n - 1) for i in range(3, n - 1)]
+
+
+def free_cells(n: int) -> int:
+    """Cells _message_slices(n) yields: (n-2)^2 interior cells minus the two markers."""
+    return (n - 2) ** 2 - 2
 
 
 def _assemble(
@@ -251,19 +263,19 @@ def message_lengths(params: CodeParams) -> MessageLengths:
     certifies both protected codes.
     """
     n, q = params.n, params.q
-    k1 = n - 6 - int_log_floor(q - 1, n - 2)
-    k2 = n - 7 - int_log_floor(q - 1, n - 3)
+    row, col = first_row_params(params), last_column_params(params)
+    k1, k2 = rll_suffix.data_length(row.n, q), rll_suffix.data_length(col.n, q)
     if k1 < 1 or k2 < 1:
         raise ValueError(
             f"parameters n={n}, q={q} leave no data room in the protected row/column"
         )
-    if not (rll_suffix.encodable(n - 2, 2, q) and rll_suffix.encodable(n - 3, 3, q)):
+    if not (rll_suffix.encodable(row.n, row.m, q) and rll_suffix.encodable(col.n, col.m, q)):
         raise EncodingError(
             f"the encoder is not certified at n={n}, q={q}: a syndrome residue "
             f"can overflow the power positions of the protected row or column"
         )
     k3 = int_log_floor(q, (q - 1) ** (k1 + k2))
-    return MessageLengths(k1, k2, k3, n * n - 4 * n + 2 + k3)
+    return MessageLengths(k1, k2, k3, free_cells(n) + k3)
 
 
 def encode_with_trace(
@@ -331,7 +343,7 @@ def decode_with_trace(
         for row, value in zip(work, _parity(map(sum, work), q)):
             row.append(value)
 
-    column_word = [row[-1] for row in reversed(work)]
+    column_word = reversed_last_column(work)
     try:
         v_result = rll_suffix.decode(column_word, last_column_params(params))
     except (DecodingError, ValueError) as exc:

@@ -216,14 +216,10 @@ def encode_with_trace(
 
     for pos, f in zip(sets.data, data):
         y[pos] = f + 1
-    for i in range(n + 1, total):
-        y[i] = (b[i - n - 1] - b[i - n]) % q
-    y[total] = b[m - 1]
-
-    placed = sum(i * y[i] for i in range(n + 1, total + 1))
-    placed += sum(i * y[i] for i in sets.data)
-    reserved_min = sum(sets.power) + sum(sets.high)
-    residue = (a - placed - reserved_min) % modulus
+    for j in sets.power + sets.high:
+        y[j] = 1  # the least value each reserved position takes
+    y[n + 1 :] = vt_core.diff(b, q)
+    residue = (a - vt_core.syndrome(y[1:])) % modulus
 
     greedy, remainder = _greedy(residue, sets.high, q)
     for j, e in zip(sets.high, greedy):

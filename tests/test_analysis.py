@@ -29,6 +29,7 @@ class TestAnalysisRow:
         for n, q in ((11, 3), (12, 5), (16, 7), (20, 11)):
             row = analysis.analysis_row(n, q)
             assert row.message_length + row.encoder_redundancy == n * n
+            assert row.encoder_redundancy == 4 * n - 2 - row.k3
 
     def test_bounds_recomputed_independently(self):
         row = analysis.analysis_row(12, 5)
@@ -66,18 +67,13 @@ class TestAnalyzeRange:
         assert [(r.n, r.q) for r in rows] == [(11, 3), (11, 5), (12, 3), (12, 5)]
 
 
+HEADER = "n,q,k1,k2,k3,message_length,encoder_redundancy,lower_bound,upper_bound,gap"
+
+
 class TestReports:
     def test_csv(self):
-        rows = [analysis.analysis_row(11, 3)]
-        text = analysis.to_csv(rows)
-        lines = text.splitlines()
-        assert lines[0] == ",".join(analysis.CSV_FIELDS)
-        cells = lines[1].split(",")
-        assert cells[:7] == ["11", "3", "2", "1", "1", "80", "41"]
-        for cell in cells[7:]:
-            float(cell)  # bounds render as plain floats
-            assert "." in cell and len(cell.split(".")[1]) == 6
-        assert text.endswith("\n")
+        text = analysis.to_csv([analysis.analysis_row(11, 3)])
+        assert text == HEADER + "\n" + "11,3,2,1,1,80,41,23.365317,41.686949,17.634683\n"
 
     def test_table_alignment(self):
         rows = analysis.analyze_range(range(11, 14), [3])
@@ -85,7 +81,11 @@ class TestReports:
         lines = text.splitlines()
         assert len(lines) == 4
         assert len(set(map(len, lines))) == 1  # rectangular
-        assert lines[0].split() == list(analysis.CSV_FIELDS)
+        assert lines[0].split() == HEADER.split(",")
+        assert lines[1] == (
+            "11  3   2   1   1              80                  41"
+            "    23.365317    41.686949  17.634683"
+        )
 
 
 class TestProtectedRowCount:

@@ -84,13 +84,32 @@ class TestMessageLengths:
         assert accepted == {n: list(range(q_min[n], 65)) for n in q_min}
 
     def test_total_formula(self):
-        for n in (11, 13, 20):
-            for q in (3, 5, 11):
-                ml = crisscross.message_lengths(CodeParams(n, q))
+        # The paper's closed forms, at every certified point of the grid.
+        def floor_log(base, value):
+            t = 0
+            while base ** (t + 1) <= value:
+                t += 1
+            return t
+
+        checked = 0
+        for n in range(8, 65):
+            for q in range(3, 65):
+                try:
+                    ml = crisscross.message_lengths(CodeParams(n, q))
+                except (ValueError, EncodingError):
+                    continue
+                checked += 1
+                assert ml.k1 == n - 6 - floor_log(q - 1, n - 2)
+                assert ml.k2 == n - 7 - floor_log(q - 1, n - 3)
                 assert ml.total == n * n - 4 * n + 2 + ml.k3
                 assert 1 <= ml.k1 and 1 <= ml.k2
                 # k3 is maximal: q^k3 <= (q-1)^(k1+k2) < q^(k3+1)
                 assert q**ml.k3 <= (q - 1) ** (ml.k1 + ml.k2) < q ** (ml.k3 + 1)
+        assert checked == 54 * 62 + 58 + 61 + 61
+        # free_cells is the closed form of the cells _message_slices yields.
+        for n in range(4, 65):
+            cells = sum(end - start for _, start, end in crisscross._message_slices(n))
+            assert crisscross.free_cells(n) == cells == (n - 2) ** 2 - 2
 
 
 class TestMembership:

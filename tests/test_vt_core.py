@@ -10,9 +10,12 @@ import pytest
 
 from conftest import (
     GOLDEN_CODEWORD_1D,
+    adjacent_distinct_loop,
     brute_deletion_candidates,
     brute_insertion_candidates,
+    diff_loop,
     iter_words,
+    syndrome_loop,
 )
 from crisscodec import vt_core
 from crisscodec.errors import NoCandidateError
@@ -63,24 +66,6 @@ class TestSyndrome:
         # Large values must not wrap: the syndrome is an exact integer.
         y = [10**9] * 100
         assert vt_core.syndrome(y) == 10**9 * (100 * 101 // 2)
-
-
-def diff_loop(x, q):
-    return [(x[i] - x[i + 1]) % q for i in range(len(x) - 1)] + [x[-1]]
-
-
-def syndrome_loop(y):
-    total = 0
-    for i in range(len(y)):
-        total += (i + 1) * y[i]
-    return total
-
-
-def adjacent_distinct_loop(x):
-    for i in range(len(x) - 1):
-        if x[i] == x[i + 1]:
-            return False
-    return True
 
 
 class TestKernelsAgainstLoops:
