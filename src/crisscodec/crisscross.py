@@ -84,27 +84,6 @@ class MessageLengths(NamedTuple):
     total: int
 
 
-class ArrayEncodeTrace(NamedTuple):
-    """Intermediates of one array encode call."""
-
-    packed: int  # the first k3 data symbols packed into one integer
-    digits: tuple[int, ...]  # its base-(q-1) expansion, split across row/column
-    first_row: list[int]
-    reversed_last_column: list[int]
-
-
-class ArrayDecodeTrace(NamedTuple):
-    """Intermediates of one array decode call."""
-
-    column_restored: bool  # last column was deleted and rebuilt from parity
-    column_word: list[int]  # received reversed last column fed to the 1-D decoder
-    row_position: int  # deletion position inside the reversed last column
-    row_index: int  # 1-based index where the missing row was reinserted
-    row_values: list[int]
-    col_index: int  # 1-based index of the missing column
-    col_values: list[int]
-
-
 @lru_cache
 def first_row_params(params: CodeParams) -> RllSuffixParams:
     """1-D code protecting the first row."""
@@ -278,10 +257,8 @@ def message_lengths(params: CodeParams) -> MessageLengths:
     return MessageLengths(k1, k2, k3, free_cells(n) + k3)
 
 
-def encode_with_trace(
-    data: Sequence[int], params: CodeParams
-) -> tuple[Array, ArrayEncodeTrace]:
-    """Encode message_lengths(params).total q-ary symbols, with intermediates.
+def encode(data: Sequence[int], params: CodeParams) -> Array:
+    """Encode message_lengths(params).total q-ary symbols into an array.
 
     The first k3 symbols are packed into an integer, re-expanded in base
     q-1 and spread over the protected first row and last column; the
@@ -308,18 +285,10 @@ def encode_with_trace(
         violation = _violation(X, params)
     if violation is not None:
         raise EncodingError(f"encoder produced an invalid array: {violation}")
-    trace = ArrayEncodeTrace(packed, tuple(digits), list(u), list(v))
-    return X, trace
+    return X
 
 
-def encode(data: Sequence[int], params: CodeParams) -> Array:
-    """Encode message_lengths(params).total q-ary symbols into an array."""
-    return encode_with_trace(data, params)[0]
-
-
-def decode_with_trace(
-    Y: Sequence[Sequence[int]], params: CodeParams
-) -> tuple[Array, ArrayDecodeTrace]:
+def decode(Y: Sequence[Sequence[int]], params: CodeParams) -> Array:
     """Rebuild the codeword from an (n-1) x (n-1) received array.
 
     Steps: decide from the top right corner entries whether the last
@@ -343,27 +312,19 @@ def decode_with_trace(
         for row, value in zip(work, _parity(map(sum, work), q)):
             row.append(value)
 
-    column_word = reversed_last_column(work)
     try:
-        v_result = rll_suffix.decode(column_word, last_column_params(params))
+        v_result = rll_suffix.decode(reversed_last_column(work), last_column_params(params))
     except (DecodingError, ValueError) as exc:
         raise NotDecodableError(f"cannot locate the deleted row: {exc}") from exc
-    row_index = n - v_result.position + 1
-    row_values = _parity(map(sum, zip(*work)), q)
-    work.insert(row_index - 1, row_values)
+    work.insert(n - v_result.position, _parity(map(sum, zip(*work)), q))
 
-    if column_restored:
-        col_index = n
-        col_values = [row[-1] for row in work]
-    else:
+    if not column_restored:
         try:
             u_result = rll_suffix.decode(work[0], first_row_params(params))
         except (DecodingError, ValueError) as exc:
             raise NotDecodableError(f"cannot locate the deleted column: {exc}") from exc
-        col_index = u_result.position
-        col_values = _parity(map(sum, work), q)
-        for row, value in zip(work, col_values):
-            row.insert(col_index - 1, value)
+        for row, value in zip(work, _parity(map(sum, work), q)):
+            row.insert(u_result.position - 1, value)
 
     try:
         violation = first_violation(work, params)
@@ -371,21 +332,7 @@ def decode_with_trace(
         violation = str(exc)
     if violation is not None:
         raise NotDecodableError(f"reconstructed array is not a codeword: {violation}")
-    trace = ArrayDecodeTrace(
-        column_restored,
-        column_word,
-        v_result.position,
-        row_index,
-        row_values,
-        col_index,
-        col_values,
-    )
-    return work, trace
-
-
-def decode(Y: Sequence[Sequence[int]], params: CodeParams) -> Array:
-    """Rebuild the codeword from an (n-1) x (n-1) received array."""
-    return decode_with_trace(Y, params)[0]
+    return work
 
 
 def recover_data(X: Sequence[Sequence[int]], params: CodeParams) -> list[int]:

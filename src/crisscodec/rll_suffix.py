@@ -154,15 +154,6 @@ def index_sets(n: int, q: int) -> IndexSets:
     return IndexSets(t, power, high, data)
 
 
-class EncodeTrace(NamedTuple):
-    """Intermediate values of one encode call, mainly for diagnostics."""
-
-    residue: int  # syndrome residue still to place after data and suffix
-    greedy: tuple[int, int, int]  # e-values written at the high positions
-    remainder: int  # residue left for the power positions
-    remainder_digits: tuple[int, ...]  # its base-(q-1) expansion
-
-
 def _greedy(residue: int, high: Sequence[int], q: int) -> tuple[tuple[int, ...], int]:
     """The e-values the greedy pass writes at the high positions, and the remainder it leaves."""
     greedy = []
@@ -192,10 +183,8 @@ def encodable(n: int, m: int, q: int) -> bool:
     return remainder < (q - 1) ** (sets.t + 1)
 
 
-def encode_with_trace(
-    data: Sequence[int], params: RllSuffixParams
-) -> tuple[list[int], EncodeTrace]:
-    """Encode data symbols into RLL_DVT_a(n, m; b), returning intermediates.
+def encode(data: Sequence[int], params: RllSuffixParams) -> list[int]:
+    """Encode data symbols into a codeword of RLL_DVT_a(n, m; b).
 
     Data symbols live in {0, ..., q-2}; there are data_length(n, q) of
     them.  Where encodable(n, m, q) is False the residue left for the
@@ -238,13 +227,7 @@ def encode_with_trace(
     x = vt_core.diff_inverse(y[1:], q)
     if not is_member(x, params):
         raise EncodingError("encoder produced a word outside its own code")
-    trace = EncodeTrace(residue, greedy, remainder, tuple(digits))
-    return x, trace
-
-
-def encode(data: Sequence[int], params: RllSuffixParams) -> list[int]:
-    """Encode data symbols into a codeword of RLL_DVT_a(n, m; b)."""
-    return encode_with_trace(data, params)[0]
+    return x
 
 
 def _differential(x: Sequence[int], params: RllSuffixParams) -> list[int] | None:

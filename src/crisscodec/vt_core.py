@@ -109,12 +109,17 @@ def adjacent_distinct(x: Sequence[int]) -> bool:
     return all(map(ne, x, islice(x, 1, None)))
 
 
+def _in_code(y: Sequence[int], params: DvtParams) -> bool:
+    """The membership congruence: syndrome(y) = a (mod q*n) for the differential y."""
+    return syndrome(y) % params.modulus == params.a
+
+
 def dvt_differential(x: Sequence[int], params: DvtParams) -> list[int] | None:
     """diff(x) if x is a codeword of DVT_a(n; q), else None; raises on wrong length or alphabet."""
     if len(x) != params.n:
         raise ValueError(f"expected a sequence of length {params.n}, got {len(x)}")
     y = diff(check_symbols(x, params.q), params.q)
-    return y if syndrome(y) % params.modulus == params.a else None
+    return y if _in_code(y, params) else None
 
 
 def is_dvt_member(x: Sequence[int], params: DvtParams) -> bool:
@@ -234,7 +239,11 @@ def decode_rll_deletion(received: Sequence[int], params: DvtParams) -> DeletionD
 
 
 def decode_insertion(received: Sequence[int], params: DvtParams) -> list[int]:
-    """Recover the codeword of DVT_a(n; q) that gained one symbol."""
+    """Recover the codeword of DVT_a(n; q) that gained one symbol.
+
+    The received word is checked once; each one-symbol deletion of it is
+    then tested against the membership congruence directly.
+    """
     if len(received) != params.n + 1:
         raise ValueError(
             f"expected a received word of length {params.n + 1}, got {len(received)}"
@@ -246,7 +255,7 @@ def decode_insertion(received: Sequence[int], params: DvtParams) -> list[int]:
         key = tuple(cand)
         if key in seen:
             continue
-        if is_dvt_member(cand, params):
+        if _in_code(diff(cand, params.q), params):
             seen[key] = cand
     if not seen:
         raise NoCandidateError(

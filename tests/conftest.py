@@ -2,7 +2,9 @@
 
 The golden pipeline values (data vector, codeword array, received array,
 1-D codeword and its encode intermediates) come from a fully
-hand-checked worked example at n=9, q=7.  The oracles re-derive codec
+hand-checked worked example at n=9, q=7.  The encode intermediates are
+read off the codeword by encode_intermediates, and the decoder's steps
+are observed through the rll_decode_calls spy.  The oracles re-derive codec
 answers by definition-level brute force -- trying every insertion,
 every removal, or enumerating whole alphabets -- on the index loops
 diff_loop, syndrome_loop and adjacent_distinct_loop, so they share no
@@ -14,6 +16,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import pytest
 
 from crisscodec import rll_suffix
 from crisscodec.vt_core import DvtParams
@@ -55,7 +58,9 @@ GOLDEN_RECEIVED_9_9 = [
 # First row of GOLDEN_ARRAY: the 1-D codeword of the worked example
 # (body 7, suffix (0, 2), residue 0) and its encode intermediates.
 GOLDEN_CODEWORD_1D = [4, 2, 1, 4, 5, 2, 1, 0, 2]
-GOLDEN_TRACE_1D = dict(residue=31, greedy=(5, 2, 0), remainder=1, remainder_digits=(1, 0))
+GOLDEN_INTERMEDIATES_1D = dict(
+    residue=31, greedy=(5, 2, 0), remainder=1, remainder_digits=(1, 0)
+)
 
 # Reversed last column of GOLDEN_ARRAY (body 6, suffix (0, 1, 2)).
 GOLDEN_COLUMN_1D = [0, 6, 5, 6, 0, 1, 0, 1, 2]
@@ -92,6 +97,38 @@ def adjacent_distinct_loop(x):
         if x[i] == x[i + 1]:
             return False
     return True
+
+
+def encode_intermediates(x, n: int, q: int) -> dict:
+    """The values the 1-D encoder placed in codeword x with body length n.
+
+    The encoder writes e + 1 at each high position j and h_i + 1 at each
+    power position (q-1)^i of the differential.  The remainder is the
+    base-(q-1) value of the h_i, and the residue the encoder had to place
+    is the sum of e * j plus the remainder.
+    """
+    y = [None] + diff_loop(x, q)  # 1-based
+    sets = rll_suffix.index_sets(n, q)
+    greedy = tuple(y[j] - 1 for j in sets.high)
+    digits = tuple(y[p] - 1 for p in sets.power)
+    remainder = sum(h * (q - 1) ** i for i, h in enumerate(digits))
+    residue = sum(e * j for e, j in zip(greedy, sets.high)) + remainder
+    return dict(residue=residue, greedy=greedy, remainder=remainder, remainder_digits=digits)
+
+
+@pytest.fixture
+def rll_decode_calls(monkeypatch):
+    """(word, position) of each rll_suffix.decode call, recorded by a spy."""
+    calls = []
+    real = rll_suffix.decode
+
+    def spy(received, params):
+        result = real(received, params)
+        calls.append((list(received), result.position))
+        return result
+
+    monkeypatch.setattr(rll_suffix, "decode", spy)
+    return calls
 
 
 def brute_deletion_candidates(received, params: DvtParams) -> list[list[int]]:

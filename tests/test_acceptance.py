@@ -23,13 +23,14 @@ from conftest import (
     GOLDEN_CODEWORD_1D,
     GOLDEN_COLUMN_1D,
     GOLDEN_DATA,
+    GOLDEN_INTERMEDIATES_1D,
     GOLDEN_RECEIVED_9_9,
-    GOLDEN_TRACE_1D,
     GOLDEN_WALKTHROUGH,
     brute_deletion_candidates,
     brute_insertion_candidates,
     build_structural_codeword,
     count_arrays_bruteforce,
+    encode_intermediates,
     enumerate_protected_words,
 )
 from crisscodec import analysis, crisscross, fixtures, rll_suffix, vt_core
@@ -70,12 +71,9 @@ def _best_of(k, fn):
 @criterion("golden-1d-encode")
 def test_acc01_golden_1d_encode():
     params = RllSuffixParams(7, 7, 0, (0, 2))
-    x, trace = rll_suffix.encode_with_trace([0, 3], params)
+    x = rll_suffix.encode([0, 3], params)
     assert x == GOLDEN_CODEWORD_1D
-    assert trace.residue == GOLDEN_TRACE_1D["residue"]
-    assert trace.greedy == GOLDEN_TRACE_1D["greedy"]
-    assert trace.remainder == GOLDEN_TRACE_1D["remainder"]
-    assert trace.remainder_digits == GOLDEN_TRACE_1D["remainder_digits"]
+    assert encode_intermediates(x, params.n, params.q) == GOLDEN_INTERMEDIATES_1D
     best = _best_of(5, lambda: rll_suffix.encode([0, 3], params))
     assert best < 1e-3, f"1-D encode took {best * 1e3:.3f} ms (budget 1 ms)"
     return f"codeword and all four intermediates exact, {best * 1e6:.0f} us"
@@ -83,10 +81,10 @@ def test_acc01_golden_1d_encode():
 
 @criterion("golden-array-encode")
 def test_acc02_golden_array_encode():
-    X, trace = crisscross.encode_with_trace(GOLDEN_DATA, GOLDEN_PARAMS)
+    X = crisscross.encode(GOLDEN_DATA, GOLDEN_PARAMS)
     assert X == GOLDEN_ARRAY
-    assert trace.first_row == GOLDEN_CODEWORD_1D
-    assert trace.reversed_last_column == GOLDEN_COLUMN_1D
+    assert X[0] == GOLDEN_CODEWORD_1D
+    assert [row[-1] for row in reversed(X)] == GOLDEN_COLUMN_1D
     assert crisscross.recover_data(X, GOLDEN_PARAMS) == GOLDEN_DATA
 
     def once():
@@ -99,13 +97,16 @@ def test_acc02_golden_array_encode():
 
 
 @criterion("golden-decode-walkthrough")
-def test_acc03_golden_decode_walkthrough():
+def test_acc03_golden_decode_walkthrough(rll_decode_calls):
     received = crisscross.corrupt(GOLDEN_ARRAY, 9, 9)
     assert received == GOLDEN_RECEIVED_9_9
-    X, trace = crisscross.decode_with_trace(received, GOLDEN_PARAMS)
-    assert trace.column_word == GOLDEN_WALKTHROUGH["column_word"]
-    assert trace.row_index == GOLDEN_WALKTHROUGH["row_index"]
-    assert trace.row_values == GOLDEN_WALKTHROUGH["row_values"]
+    X = crisscross.decode(received, GOLDEN_PARAMS)
+    # The last column was restored, so only the column word is decoded.
+    [(column_word, position)] = rll_decode_calls
+    assert column_word == GOLDEN_WALKTHROUGH["column_word"]
+    row_index = GOLDEN_PARAMS.n - position + 1
+    assert row_index == GOLDEN_WALKTHROUGH["row_index"]
+    assert X[row_index - 1] == GOLDEN_WALKTHROUGH["row_values"]
     assert X == GOLDEN_ARRAY
     return "received array, decode intermediates and output all exact"
 

@@ -226,12 +226,20 @@ class TestDeletionBall:
 
 class TestEncode:
     def test_golden(self):
-        X, trace = crisscross.encode_with_trace(GOLDEN_DATA, GOLDEN_PARAMS)
+        X = crisscross.encode(GOLDEN_DATA, GOLDEN_PARAMS)
         assert X == GOLDEN_ARRAY
-        assert trace.packed == 18
-        assert trace.digits == (0, 3, 0)
-        assert trace.first_row == GOLDEN_CODEWORD_1D
-        assert trace.reversed_last_column == GOLDEN_COLUMN_1D
+        first_row, column = X[0], [row[-1] for row in reversed(X)]
+        assert first_row == GOLDEN_CODEWORD_1D
+        assert column == GOLDEN_COLUMN_1D
+        # The first k3 = 2 data symbols, packed base q, re-expanded base q-1
+        # and split over the protected row and column.
+        digits = rll_suffix.recover_data(
+            first_row, crisscross.first_row_params(GOLDEN_PARAMS)
+        ) + rll_suffix.recover_data(column, crisscross.last_column_params(GOLDEN_PARAMS))
+        assert digits == [0, 3, 0]
+        q = GOLDEN_PARAMS.q
+        packed = sum(d * (q - 1) ** i for i, d in enumerate(digits))
+        assert packed == 18 == GOLDEN_DATA[0] + q * GOLDEN_DATA[1]
 
     def test_all_zero_message(self):
         params = CodeParams(11, 3)
@@ -262,29 +270,37 @@ class TestEncode:
 
 
 class TestDecode:
-    def test_golden_walkthrough(self):
-        X, trace = crisscross.decode_with_trace(GOLDEN_RECEIVED_9_9, GOLDEN_PARAMS)
+    def test_golden_walkthrough(self, rll_decode_calls):
+        X = crisscross.decode(GOLDEN_RECEIVED_9_9, GOLDEN_PARAMS)
         assert X == GOLDEN_ARRAY
-        assert trace.column_restored is True
-        assert trace.column_word == GOLDEN_WALKTHROUGH["column_word"]
-        assert trace.row_position == 1
-        assert trace.row_index == GOLDEN_WALKTHROUGH["row_index"]
-        assert trace.row_values == GOLDEN_WALKTHROUGH["row_values"]
-        assert trace.col_index == 9
+        # Column 9 was restored from parity: the first row is never decoded.
+        [(column_word, position)] = rll_decode_calls
+        assert (column_word, position) == (GOLDEN_WALKTHROUGH["column_word"], 1)
+        row_index = GOLDEN_PARAMS.n - position + 1
+        assert row_index == GOLDEN_WALKTHROUGH["row_index"]
+        assert X[row_index - 1] == GOLDEN_WALKTHROUGH["row_values"]
 
-    def test_every_corruption_of_golden(self):
-        for i in range(1, 10):
-            for j in range(1, 10):
+    def test_every_corruption_of_golden(self, rll_decode_calls):
+        # The column word locates row i (position n - i + 1); the first row
+        # locates column j unless j = n, whose column is restored from parity.
+        n = GOLDEN_PARAMS.n
+        u, v = GOLDEN_CODEWORD_1D, GOLDEN_COLUMN_1D
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                rll_decode_calls.clear()
                 Y = crisscross.corrupt(GOLDEN_ARRAY, i, j)
                 assert crisscross.decode(Y, GOLDEN_PARAMS) == GOLDEN_ARRAY
+                column_call = (v[: n - i] + v[n - i + 1 :], n - i + 1)
+                row_call = (u[: j - 1] + u[j:], j)
+                expected = [column_call] + ([row_call] if j < n else [])
+                assert rll_decode_calls == expected, (i, j)
 
-    def test_interior_column_uses_first_row(self):
+    def test_interior_column_uses_first_row(self, rll_decode_calls):
         Y = crisscross.corrupt(GOLDEN_ARRAY, 2, 4)
-        X, trace = crisscross.decode_with_trace(Y, GOLDEN_PARAMS)
+        X = crisscross.decode(Y, GOLDEN_PARAMS)
         assert X == GOLDEN_ARRAY
-        assert trace.column_restored is False
-        assert trace.row_index == 2
-        assert trace.col_index == 4
+        assert [position for _, position in rll_decode_calls] == [8, 4]  # row 2, column 4
+        assert rll_decode_calls[1][0] == X[0][:3] + X[0][4:]
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

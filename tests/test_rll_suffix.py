@@ -10,7 +10,8 @@ import pytest
 from conftest import (
     GOLDEN_CODEWORD_1D,
     GOLDEN_COLUMN_1D,
-    GOLDEN_TRACE_1D,
+    GOLDEN_INTERMEDIATES_1D,
+    encode_intermediates,
     enumerate_protected_words,
 )
 from crisscodec import rll_suffix, vt_core
@@ -78,13 +79,10 @@ class TestIndexSets:
 
 
 class TestEncode:
-    def test_golden_with_trace(self):
-        x, trace = rll_suffix.encode_with_trace([0, 3], GOLDEN_PARAMS)
+    def test_golden_intermediates(self):
+        x = rll_suffix.encode([0, 3], GOLDEN_PARAMS)
         assert x == GOLDEN_CODEWORD_1D
-        assert trace.residue == GOLDEN_TRACE_1D["residue"]
-        assert trace.greedy == GOLDEN_TRACE_1D["greedy"]
-        assert trace.remainder == GOLDEN_TRACE_1D["remainder"]
-        assert trace.remainder_digits == GOLDEN_TRACE_1D["remainder_digits"]
+        assert encode_intermediates(x, 7, 7) == GOLDEN_INTERMEDIATES_1D
 
     def test_golden_column(self):
         params = RllSuffixParams(6, 7, 0, (0, 1, 2))

@@ -207,6 +207,19 @@ class TestInsertionDecode:
         with pytest.raises(ValueError):
             vt_core.decode_insertion([0, 0, 0], DvtParams(4, 3, 0))
 
+    def test_received_word_is_checked_once(self, monkeypatch):
+        calls = []
+        real_check = vt_core.check_symbols
+
+        def check_spy(*args):
+            calls.append(args)
+            return real_check(*args)
+
+        monkeypatch.setattr(vt_core, "check_symbols", check_spy)
+        received = [3] + GOLDEN_CODEWORD_1D
+        assert vt_core.decode_insertion(received, DvtParams(9, 7, 0)) == GOLDEN_CODEWORD_1D
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("n,q", [(2, 3), (3, 3), (4, 3), (3, 4)])
     def test_agrees_with_bruteforce_on_every_input(self, n, q):
         for a in range(q * n):
