@@ -3,7 +3,8 @@
 The package is layered bottom-up:
 
   * vt_core -- differential VT sequence codes: the diff transform, the
-    syndrome, membership, and single deletion/insertion decoders.
+    syndrome, membership, and the single-deletion decoder for words with
+    no two equal adjacent symbols.
   * rll_suffix -- run-length-limited VT codes with a fixed suffix, whose
     single deletions can be located exactly; encoder and data recovery.
   * crisscross -- the n x n array code built from a protected first row,

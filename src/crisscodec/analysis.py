@@ -63,11 +63,6 @@ def analyze_range(n_values: range | list[int], q_values: list[int]) -> list[Anal
     return [analysis_row(n, q) for n in n_values for q in q_values]
 
 
-def bounds_hold(row: AnalysisRow, slack: float = 1e-9) -> bool:
-    """True iff lower - slack <= encoder_redundancy <= upper + slack."""
-    return row.lower_bound - slack <= row.encoder_redundancy <= row.upper_bound + slack
-
-
 def _row_cells(row: AnalysisRow) -> list[str]:
     return [f"{value:.6f}" if isinstance(value, float) else str(value) for value in astuple(row)]
 

@@ -195,18 +195,6 @@ def first_violation(X: Sequence[Sequence[int]], params: CodeParams) -> str | Non
     return _violation(check_array(X, params.n, params.n, params.q), params)
 
 
-def is_codeword(X: Sequence[Sequence[int]], params: CodeParams) -> bool:
-    """True iff X satisfies all five codeword conditions."""
-    return first_violation(X, params) is None
-
-
-def check_zero_sums(X: Sequence[Sequence[int]], q: int) -> bool:
-    """True iff every row and every column of X sums to 0 (mod q)."""
-    if any(sum(row) % q != 0 for row in X):
-        return False
-    return all(total % q == 0 for total in map(sum, zip(*X)))
-
-
 def corrupt(X: Sequence[Sequence[int]], i: int, j: int) -> Array:
     """Delete row i and column j (1-based) from a square array."""
     n = len(X)
@@ -221,16 +209,6 @@ def corrupt(X: Sequence[Sequence[int]], i: int, j: int) -> Array:
         for r, row in enumerate(X)
         if r != i - 1
     ]
-
-
-def deletion_ball(X: Sequence[Sequence[int]]) -> set[tuple[tuple[int, ...], ...]]:
-    """All distinct arrays obtainable from X by one row+column deletion."""
-    n = len(X)
-    ball = set()
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            ball.add(tuple(tuple(row) for row in corrupt(X, i, j)))
-    return ball
 
 
 def message_lengths(params: CodeParams) -> MessageLengths:

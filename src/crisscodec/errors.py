@@ -16,9 +16,9 @@ class NoCandidateError(DecodingError):
 class AmbiguousCodewordError(DecodingError):
     """More than one codeword is consistent with the received word.
 
-    Cannot occur when the received word really is one deletion or
-    insertion away from a codeword; kept as a defensive signal for
-    corrupted or adversarial inputs.
+    Cannot occur when the received word really is one deletion away
+    from a codeword; kept as a defensive signal for corrupted or
+    adversarial inputs.
     """
 
 

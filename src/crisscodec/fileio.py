@@ -111,7 +111,3 @@ def dumps(f: ArrayFile) -> str:
 
 def load(path: str | Path) -> ArrayFile:
     return loads(Path(path).read_text())
-
-
-def dump(f: ArrayFile, path: str | Path) -> None:
-    Path(path).write_text(dumps(f))

@@ -3,9 +3,13 @@
 The property suite drives the whole pipeline: random messages are
 encoded, every one of the n^2 criss-cross deletions is applied, and the
 decoder plus data recovery must reproduce the original exactly.  On top
-of that it checks that codewords have all-zero row/column sums and that
-the corner discriminator (which tells a deleted last column from the
-other cases) always points the right way.
+of that it checks that the corner discriminator (which tells a deleted
+last column from the other cases) always points the right way.  The
+encoder validates every codeword it returns, zero row and column sums
+included, so the suite does not check them again.
+
+A run costs about trials * n^4 steps; run_selftest refuses more than
+WORK_GUARD = 10^10 of them.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from dataclasses import dataclass
 
 from . import crisscross
 from .crisscross import CodeParams
+
+WORK_GUARD = 10**10
 
 
 @dataclass(frozen=True)
@@ -49,6 +55,10 @@ def run_selftest(n: int, q: int, trials: int, seed: int = 0) -> SelfTestReport:
     """Run the property suite at (n, q) and report per-suite outcomes."""
     if trials < 1:
         raise ValueError(f"need at least one trial, got trials={trials}")
+    if trials * n**4 > WORK_GUARD:
+        raise ValueError(
+            f"trials * n^4 = {trials * n**4} steps exceed the work guard {WORK_GUARD}"
+        )
     params = CodeParams(n, q)
     ml = crisscross.message_lengths(params)
     rng = random.Random(seed)
@@ -56,15 +66,13 @@ def run_selftest(n: int, q: int, trials: int, seed: int = 0) -> SelfTestReport:
 
     # Suite 1: encode -> corrupt -> decode -> recover round-trips over
     # every deletion position.  Discriminator observations are collected
-    # along the way and judged in suite 3.
+    # along the way and judged in suite 2.
     start = time.perf_counter()
     failures: list[str] = []
     discriminator_bad: list[str] = []
-    codewords = []
     for trial in range(trials):
         data = [rng.randrange(q) for _ in range(ml.total)]
         X = crisscross.encode(data, params)
-        codewords.append(X)
         if crisscross.recover_data(X, params) != data:
             failures.append(f"recover(encode(data)) != data at trial={trial} seed={seed}")
             continue
@@ -99,23 +107,7 @@ def run_selftest(n: int, q: int, trials: int, seed: int = 0) -> SelfTestReport:
         SuiteResult("round-trip", not failures, detail, time.perf_counter() - start)
     )
 
-    # Suite 2: every codeword must have all-zero row and column sums.
-    start = time.perf_counter()
-    bad_sums = [
-        t for t, X in enumerate(codewords) if not crisscross.check_zero_sums(X, q)
-    ]
-    results.append(
-        SuiteResult(
-            "zero-sums",
-            not bad_sums,
-            f"{len(codewords)} codewords"
-            if not bad_sums
-            else f"violated at trials {bad_sums[:5]} seed={seed}",
-            time.perf_counter() - start,
-        )
-    )
-
-    # Suite 3: the corner discriminator collected during suite 1.
+    # Suite 2: the corner discriminator collected during suite 1.
     results.append(
         SuiteResult(
             "discriminator",

@@ -4,9 +4,9 @@ A length-n sequence x over the alphabet {0, ..., q-1} is mapped to its
 differential form y = diff(x) with y_i = x_i - x_{i+1} (mod q) for i < n
 and y_n = x_n.  The code DVT_a(n; q) collects the sequences whose
 differential VT syndrome sum(i * y_i) is congruent to a modulo q*n.
-Every such code corrects one symbol deletion or one symbol insertion,
-and when the codeword has no two equal adjacent symbols the deletion
-position itself can be pinned down exactly.
+Every such code corrects one symbol deletion.  The codec decodes only
+run-length-limited words, with no two equal adjacent symbols, and for
+those `decode_rll_deletion` pins down the deletion position exactly.
 
 Sequences are plain lists of ints; the alphabet size q travels in the
 parameter objects.  Positions in the public API are 1-based.
@@ -49,11 +49,11 @@ class DvtParams:
 
 
 class DeletionDecode(NamedTuple):
-    """Result of a deletion decode: the codeword and a deletion position.
+    """Result of a deletion decode: the codeword and the deletion position.
 
-    `position` is the smallest 1-based index whose deletion from
-    `codeword` yields the received word (several indices work when the
-    deletion hit a run of equal symbols).
+    `position` is the 1-based index whose deletion from `codeword` yields
+    the received word.  The codeword has no two equal adjacent symbols,
+    so exactly one index does.
     """
 
     codeword: list[int]
@@ -109,22 +109,12 @@ def adjacent_distinct(x: Sequence[int]) -> bool:
     return all(map(ne, x, islice(x, 1, None)))
 
 
-def _in_code(y: Sequence[int], params: DvtParams) -> bool:
-    """The membership congruence: syndrome(y) = a (mod q*n) for the differential y."""
-    return syndrome(y) % params.modulus == params.a
-
-
 def dvt_differential(x: Sequence[int], params: DvtParams) -> list[int] | None:
     """diff(x) if x is a codeword of DVT_a(n; q), else None; raises on wrong length or alphabet."""
     if len(x) != params.n:
         raise ValueError(f"expected a sequence of length {params.n}, got {len(x)}")
     y = diff(check_symbols(x, params.q), params.q)
-    return y if _in_code(y, params) else None
-
-
-def is_dvt_member(x: Sequence[int], params: DvtParams) -> bool:
-    """Membership test for DVT_a(n; q); raises on wrong length or alphabet."""
-    return dvt_differential(x, params) is not None
+    return y if syndrome(y) % params.modulus == params.a else None
 
 
 def deletion_index(codeword: Sequence[int], received: Sequence[int]) -> int | None:
@@ -195,19 +185,18 @@ def _deletion_candidates(received: Sequence[int], params: DvtParams) -> list[lis
     return list(candidates.values())
 
 
-def _decode_single_deletion(
-    received: Sequence[int], params: DvtParams, rll: bool
-) -> DeletionDecode:
-    """The one candidate codeword, restricted to 1-RLL codewords when rll is set."""
+def decode_rll_deletion(received: Sequence[int], params: DvtParams) -> DeletionDecode:
+    """Recover the codeword with distinct adjacent symbols that lost one symbol.
+
+    Only such run-length-limited codewords are candidates, and for them
+    the deletion position is unique, so `position` in the result is exact.
+    """
     if params.n < 2:
         raise ValueError("deletion decoding needs a codeword length of at least 2")
-    candidates = _deletion_candidates(received, params)
-    if rll:
-        candidates = [c for c in candidates if adjacent_distinct(c)]
+    candidates = [c for c in _deletion_candidates(received, params) if adjacent_distinct(c)]
     if not candidates:
-        kind = "run-length-limited codeword" if rll else "codeword"
         raise NoCandidateError(
-            f"no {kind} of DVT_{params.a}({params.n}; {params.q}) "
+            f"no run-length-limited codeword of DVT_{params.a}({params.n}; {params.q}) "
             f"yields the received word by one deletion"
         )
     if len(candidates) > 1:
@@ -218,52 +207,3 @@ def _decode_single_deletion(
     pos = deletion_index(codeword, received)
     assert pos is not None
     return DeletionDecode(codeword, pos)
-
-
-def decode_deletion(received: Sequence[int], params: DvtParams) -> DeletionDecode:
-    """Recover the codeword of DVT_a(n; q) that lost one symbol.
-
-    Returns the codeword together with the smallest deletion position
-    consistent with the received word.
-    """
-    return _decode_single_deletion(received, params, rll=False)
-
-
-def decode_rll_deletion(received: Sequence[int], params: DvtParams) -> DeletionDecode:
-    """Deletion decode restricted to codewords with distinct adjacent symbols.
-
-    For such codewords the deletion position is unique, so `position`
-    in the result is exact.
-    """
-    return _decode_single_deletion(received, params, rll=True)
-
-
-def decode_insertion(received: Sequence[int], params: DvtParams) -> list[int]:
-    """Recover the codeword of DVT_a(n; q) that gained one symbol.
-
-    The received word is checked once; each one-symbol deletion of it is
-    then tested against the membership congruence directly.
-    """
-    if len(received) != params.n + 1:
-        raise ValueError(
-            f"expected a received word of length {params.n + 1}, got {len(received)}"
-        )
-    received = check_symbols(received, params.q, "received")
-    seen: dict[tuple[int, ...], list[int]] = {}
-    for d in range(len(received)):
-        cand = list(received[:d]) + list(received[d + 1 :])
-        key = tuple(cand)
-        if key in seen:
-            continue
-        if _in_code(diff(cand, params.q), params):
-            seen[key] = cand
-    if not seen:
-        raise NoCandidateError(
-            f"no codeword of DVT_{params.a}({params.n}; {params.q}) "
-            f"yields the received word by one insertion"
-        )
-    if len(seen) > 1:
-        raise AmbiguousCodewordError(
-            f"{len(seen)} distinct codewords match the received word"
-        )
-    return next(iter(seen.values()))

@@ -6,9 +6,9 @@ hand-checked worked example at n=9, q=7.  The encode intermediates are
 read off the codeword by encode_intermediates, and the decoder's steps
 are observed through the rll_decode_calls spy.  The oracles re-derive codec
 answers by definition-level brute force -- trying every insertion,
-every removal, or enumerating whole alphabets -- on the index loops
-diff_loop, syndrome_loop and adjacent_distinct_loop, so they share no
-code with the optimized paths they check.
+every row and column deletion, or enumerating whole alphabets -- on
+index loops such as diff_loop, syndrome_loop and adjacent_distinct_loop,
+so they share no code with the optimized paths they check.
 """
 
 from __future__ import annotations
@@ -143,17 +143,6 @@ def brute_deletion_candidates(received, params: DvtParams) -> list[list[int]]:
     return list(seen.values())
 
 
-def brute_insertion_candidates(received, params: DvtParams) -> list[list[int]]:
-    """Definition-level oracle: try every single-symbol removal."""
-    seen = {}
-    w = list(received)
-    for d in range(len(w)):
-        cand = w[:d] + w[d + 1 :]
-        if is_member_quiet(cand, params):
-            seen[tuple(cand)] = cand
-    return list(seen.values())
-
-
 def is_member_quiet(x, params: DvtParams) -> bool:
     """x lies in DVT_a(n; q); False, not an error, on a wrong length."""
     if len(x) != params.n:
@@ -172,6 +161,23 @@ def enumerate_protected_words(n: int, q: int, suffix: tuple[int, ...]) -> list[l
         if syndrome_loop(diff_loop(x, q)) % (q * n) == 0:
             out.append(x)
     return out
+
+
+def deletion_ball(X) -> set[tuple[tuple[int, ...], ...]]:
+    """All distinct arrays one row and one column deletion away from the square X."""
+    n = len(X)
+    return {
+        tuple(tuple(X[r][c] for c in range(n) if c != j) for r in range(n) if r != i)
+        for i in range(n)
+        for j in range(n)
+    }
+
+
+def zero_sums(X, q: int) -> bool:
+    """Every row and every column of the square X sums to 0 (mod q)."""
+    n = len(X)
+    rows = all(sum(X[r][c] for c in range(n)) % q == 0 for r in range(n))
+    return rows and all(sum(X[r][c] for r in range(n)) % q == 0 for c in range(n))
 
 
 def count_arrays_bruteforce(n: int, q: int, u_rows, v_rows) -> int:

@@ -41,18 +41,8 @@ class TestAnalysisRow:
 
     def test_bounds_hold_on_sample_grid(self):
         for row in analysis.analyze_range(range(11, 25), [3, 4, 7, 101]):
-            assert analysis.bounds_hold(row), (row.n, row.q)
-
-    def test_bounds_hold_slack_semantics(self):
-        row = analysis.analysis_row(11, 3)
-        nudged = analysis.AnalysisRow(
-            row.n, row.q, row.k1, row.k2, row.k3, row.message_length,
-            row.encoder_redundancy,
-            float(row.encoder_redundancy) + 5e-10,  # lower barely above
-            row.upper_bound, row.gap,
-        )
-        assert analysis.bounds_hold(nudged)
-        assert not analysis.bounds_hold(nudged, slack=1e-12)
+            assert row.lower_bound - 1e-9 <= row.encoder_redundancy, (row.n, row.q)
+            assert row.encoder_redundancy <= row.upper_bound + 1e-9, (row.n, row.q)
 
     def test_gate_propagates(self):
         with pytest.raises(EncodingError, match="not certified"):

@@ -24,21 +24,21 @@ RECEIVED_FILE = ArrayFile("received", 7, 9, rows=GOLDEN_RECEIVED_9_9)
 @pytest.fixture
 def data_path(tmp_path):
     path = tmp_path / "data.json"
-    fileio.dump(DATA_FILE, path)
+    path.write_text(fileio.dumps(DATA_FILE))
     return path
 
 
 @pytest.fixture
 def array_path(tmp_path):
     path = tmp_path / "array.json"
-    fileio.dump(ARRAY_FILE, path)
+    path.write_text(fileio.dumps(ARRAY_FILE))
     return path
 
 
 @pytest.fixture
 def received_path(tmp_path):
     path = tmp_path / "received.json"
-    fileio.dump(RECEIVED_FILE, path)
+    path.write_text(fileio.dumps(RECEIVED_FILE))
     return path
 
 
@@ -83,7 +83,7 @@ class TestVerify:
         rows = [list(r) for r in GOLDEN_ARRAY]
         rows[3][3] = (rows[3][3] + 1) % 7
         bad = tmp_path / "bad.json"
-        fileio.dump(ArrayFile("array", 7, 9, rows=rows), bad)
+        bad.write_text(fileio.dumps(ArrayFile("array", 7, 9, rows=rows)))
         assert main(["verify", "--in", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "not a codeword" in err and "condition 4" in err
@@ -92,7 +92,7 @@ class TestVerify:
 class TestExitCodes:
     def test_encode_refuses_uncertified_parameters(self, capsys, tmp_path):
         path = tmp_path / "data.json"
-        fileio.dump(ArrayFile("data", 3, 10, symbols=[0] * 63), path)
+        path.write_text(fileio.dumps(ArrayFile("data", 3, 10, symbols=[0] * 63)))
         assert main(["encode", "--n", "10", "--q", "3", "--data", str(path)]) == 2
         assert "not certified at n=10, q=3" in capsys.readouterr().err
 
@@ -123,7 +123,7 @@ class TestExitCodes:
     def test_decode_failure_is_exit_3(self, capsys, tmp_path):
         rows = [[1] * 8 for _ in range(8)]
         path = tmp_path / "noise.json"
-        fileio.dump(ArrayFile("received", 7, 9, rows=rows), path)
+        path.write_text(fileio.dumps(ArrayFile("received", 7, 9, rows=rows)))
         assert main(["decode", "--in", str(path)]) == 3
         assert "error:" in capsys.readouterr().err
 
@@ -131,7 +131,7 @@ class TestExitCodes:
         rows = [list(r) for r in GOLDEN_ARRAY]
         rows[5][2] = (rows[5][2] + 3) % 7
         path = tmp_path / "tampered.json"
-        fileio.dump(ArrayFile("array", 7, 9, rows=rows), path)
+        path.write_text(fileio.dumps(ArrayFile("array", 7, 9, rows=rows)))
         rc = main(["recover", "--in", str(path)])
         assert rc == 2
         assert "not a codeword" in capsys.readouterr().err
@@ -237,6 +237,16 @@ class TestSelftestCommand:
         assert "not certified" in capsys.readouterr().err
         assert main(["selftest", "--n", "9", "--q", "7", "--trials", "1"]) == 0
         capsys.readouterr()
+
+    def test_work_beyond_the_guard_is_exit_2(self, capsys):
+        # trials * n^4 = 10^20 steps: refused before a message is built.
+        assert main(["selftest", "--n", "100000", "--q", "3", "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "exceed the work guard 10000000000" in captured.err
+        assert captured.out == ""
+        # 101 * 100^4 steps, just above the guard.
+        assert main(["selftest", "--n", "100", "--q", "101", "--trials", "101"]) == 2
+        assert "exceed the work guard" in capsys.readouterr().err
 
     def test_no_trials_is_exit_2(self, capsys):
         assert main(["selftest", "--n", "11", "--q", "3", "--trials", "-3"]) == 2

@@ -15,7 +15,9 @@ from conftest import (
     GOLDEN_RECEIVED_9_9,
     GOLDEN_WALKTHROUGH,
     build_structural_codeword,
+    deletion_ball,
     enumerate_protected_words,
+    zero_sums,
 )
 from crisscodec import crisscross, fileio, rll_suffix, vt_core
 from crisscodec.crisscross import CodeParams
@@ -114,7 +116,6 @@ class TestMessageLengths:
 
 class TestMembership:
     def test_golden_is_codeword(self):
-        assert crisscross.is_codeword(GOLDEN_ARRAY, GOLDEN_PARAMS)
         assert crisscross.first_violation(GOLDEN_ARRAY, GOLDEN_PARAMS) is None
 
     def test_first_row_violation(self):
@@ -148,22 +149,24 @@ class TestMembership:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            crisscross.is_codeword(GOLDEN_RECEIVED_9_9, GOLDEN_PARAMS)
+            crisscross.first_violation(GOLDEN_RECEIVED_9_9, GOLDEN_PARAMS)
         with pytest.raises(ValueError):
-            crisscross.is_codeword([[7] * 9] * 9, GOLDEN_PARAMS)  # symbol = q
+            crisscross.first_violation([[7] * 9] * 9, GOLDEN_PARAMS)  # symbol = q
 
     def test_codewords_have_zero_sums(self):
-        assert crisscross.check_zero_sums(GOLDEN_ARRAY, 7)
-        assert crisscross.check_zero_sums(small_codeword([0] * 7), SMALL_Q)
-        assert crisscross.check_zero_sums(small_codeword([1, 7, 3, 0, 5, 2, 6]), SMALL_Q)
+        # Conditions 1, 4 and 5 force the first row and the first and last
+        # columns to sum to 0 as well.
+        assert zero_sums(GOLDEN_ARRAY, 7)
+        assert zero_sums(small_codeword([0] * 7), SMALL_Q)
+        assert zero_sums(small_codeword([1, 7, 3, 0, 5, 2, 6]), SMALL_Q)
 
     def test_zero_sums_counterexample(self):
-        # row sums fail
-        assert not crisscross.check_zero_sums([[1, 2], [2, 1]], 4)
-        # row sums fine, column 1 fails
-        assert not crisscross.check_zero_sums([[1, 0, 2], [2, 0, 1], [1, 1, 1]], 3)
-        assert crisscross.check_zero_sums([[1, 2], [2, 1]], 3)
-        assert crisscross.check_zero_sums([[0, 0], [0, 0]], 3)
+        # The zero_sums oracle is not vacuous.  Row sums fail:
+        assert not zero_sums([[1, 2], [2, 1]], 4)
+        # row sums fine, column 1 fails:
+        assert not zero_sums([[1, 0, 2], [2, 0, 1], [1, 1, 1]], 3)
+        assert zero_sums([[1, 2], [2, 1]], 3)
+        assert zero_sums([[0, 0], [0, 0]], 3)
 
 
 class TestCorrupt:
@@ -201,24 +204,29 @@ class TestCorrupt:
 
 class TestDeletionBall:
     def test_constant_array_has_singleton_ball(self):
-        ball = crisscross.deletion_ball([[0] * 4 for _ in range(4)])
+        ball = deletion_ball([[0] * 4 for _ in range(4)])
         assert ball == {tuple((0, 0, 0) for _ in range(3))}
 
     def test_ball_size_bound(self):
-        ball = crisscross.deletion_ball(GOLDEN_ARRAY)
+        ball = deletion_ball(GOLDEN_ARRAY)
         assert 1 <= len(ball) <= 81
+        assert ball == {
+            tuple(map(tuple, crisscross.corrupt(GOLDEN_ARRAY, i, j)))
+            for i in range(1, 10)
+            for j in range(1, 10)
+        }
 
     def test_colliding_pair(self):
         # These two arrays share sums but their deletion balls collide,
         # which is exactly why plain zero-sum parity cannot decode.
         first = [list(r) for r in SMALL_PAIR_FIRST]
         second = [list(r) for r in SMALL_PAIR_SECOND]
-        assert crisscross.deletion_ball(first) & crisscross.deletion_ball(second)
+        assert deletion_ball(first) & deletion_ball(second)
 
     def test_codeword_balls_disjoint(self):
         rng = random.Random(11)
         fills = {tuple(rng.randrange(SMALL_Q) for _ in range(7)) for _ in range(12)}
-        balls = [crisscross.deletion_ball(small_codeword(list(f))) for f in fills]
+        balls = [deletion_ball(small_codeword(list(f))) for f in fills]
         for a in range(len(balls)):
             for b in range(a + 1, len(balls)):
                 assert not balls[a] & balls[b]
@@ -244,7 +252,7 @@ class TestEncode:
     def test_all_zero_message(self):
         params = CodeParams(11, 3)
         X = crisscross.encode([0] * 80, params)
-        assert crisscross.is_codeword(X, params)
+        assert crisscross.first_violation(X, params) is None
         assert crisscross.recover_data(X, params) == [0] * 80
 
     def test_round_trip_random_messages(self):
@@ -255,7 +263,7 @@ class TestEncode:
         for _ in range(10):
             data = [rng.randrange(3) for _ in range(total)]
             X = crisscross.encode(data, params)
-            assert crisscross.is_codeword(X, params)
+            assert crisscross.first_violation(X, params) is None
             assert crisscross.recover_data(X, params) == data
             seen.add(tuple(map(tuple, X)))
         assert len(seen) == 10  # distinct messages give distinct arrays
@@ -467,7 +475,7 @@ class TestRecoverData:
         u = rll_suffix.encode([5, 5], crisscross.first_row_params(GOLDEN_PARAMS))
         v = rll_suffix.encode([5], crisscross.last_column_params(GOLDEN_PARAMS))
         X = build_structural_codeword(9, 7, u, v, [0] * 47)
-        assert crisscross.is_codeword(X, GOLDEN_PARAMS)
+        assert crisscross.first_violation(X, GOLDEN_PARAMS) is None
         with pytest.raises(ValueError, match="encoder image"):
             crisscross.recover_data(X, GOLDEN_PARAMS)
 
@@ -481,7 +489,7 @@ class TestSmallCodeSweep:
         ]
         for fill in fills:
             X = small_codeword(fill)
-            assert crisscross.is_codeword(X, params)
+            assert crisscross.first_violation(X, params) is None
             for i in range(1, SMALL_N + 1):
                 for j in range(1, SMALL_N + 1):
                     Y = crisscross.corrupt(X, i, j)

@@ -1,17 +1,21 @@
-"""Package import surface."""
+"""Package import surface, and no public name that only the tests call."""
 
 from __future__ import annotations
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import crisscodec
 
+SRC = Path(crisscodec.__file__).resolve().parent
+PERFBENCH = SRC.parents[1] / "perfbench"
+
 
 def test_importing_the_codec_does_not_load_numpy():
-    src = Path(crisscodec.__file__).resolve().parents[1]
     code = (
         "import sys, crisscodec, crisscodec.crisscross, crisscodec.fileio, "
         "crisscodec.selftest, crisscodec.fixtures, crisscodec.analysis, "
@@ -20,9 +24,57 @@ def test_importing_the_codec_does_not_load_numpy():
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _uses(module: str, tree: ast.Module, modules: set[str]) -> set[tuple[str, str]]:
+    """(module, name) of each package name this module refers to, outside the def of that name.
+
+    A bare name means a definition of this module or a name imported
+    from a sibling module; `sibling.name` means that sibling's name.
+    """
+    imported = {}
+    uses = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            for alias in node.names:
+                imported[alias.asname or alias.name] = (node.module, alias.name)
+                uses.add((node.module, alias.name))
+    for top in tree.body:
+        own = (module, getattr(top, "name", None))
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                target = imported.get(node.id, (module, node.id))
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            ):
+                target = (node.value.id, node.attr)
+            else:
+                continue
+            if target != own:
+                uses.add(target)
+    return uses
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    uses = set().union(*(_uses(module, tree, set(trees)) for module, tree in trees.items()))
+    assert PERFBENCH.is_dir()
+    bench = "\n".join(path.read_text() for path in sorted(PERFBENCH.glob("*.py")))
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and (module, node.name) not in uses
+        and not re.search(rf"\b{module}\.{node.name}\b", bench)
+    ]
+    assert not unused, f"only the tests call {unused}; move them into tests/"

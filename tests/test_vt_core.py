@@ -1,4 +1,4 @@
-"""Differential transform, syndrome, membership and 1-D decoders."""
+"""Differential transform, syndrome, membership and the 1-D deletion decoder."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from conftest import (
     GOLDEN_CODEWORD_1D,
     adjacent_distinct_loop,
     brute_deletion_candidates,
-    brute_insertion_candidates,
     diff_loop,
     iter_words,
     syndrome_loop,
@@ -101,15 +100,16 @@ class TestDvtParams:
         assert DvtParams(5, 3, 14).modulus == 15
 
     def test_membership_golden(self):
-        assert vt_core.is_dvt_member(GOLDEN_CODEWORD_1D, DvtParams(9, 7, 0))
-        assert vt_core.is_dvt_member([1, 2, 0], DvtParams(3, 3, 6))
-        assert not vt_core.is_dvt_member([1, 2, 0], DvtParams(3, 3, 0))
+        golden = vt_core.dvt_differential(GOLDEN_CODEWORD_1D, DvtParams(9, 7, 0))
+        assert golden == [2, 1, 4, 6, 3, 1, 1, 5, 2]
+        assert vt_core.dvt_differential([1, 2, 0], DvtParams(3, 3, 6)) == [2, 2, 0]
+        assert vt_core.dvt_differential([1, 2, 0], DvtParams(3, 3, 0)) is None
 
     def test_membership_validates_input(self):
         with pytest.raises(ValueError):
-            vt_core.is_dvt_member([1, 2], DvtParams(3, 3, 0))
+            vt_core.dvt_differential([1, 2], DvtParams(3, 3, 0))
         with pytest.raises(ValueError):
-            vt_core.is_dvt_member([1, 3, 0], DvtParams(3, 3, 0))
+            vt_core.dvt_differential([1, 3, 0], DvtParams(3, 3, 0))
 
     def test_member_symbol_sum_property(self):
         # Members of DVT_a(n; q) have symbol sum congruent to a mod q.
@@ -122,52 +122,50 @@ class TestDvtParams:
 
 
 class TestDeletionDecode:
+    """The candidate search behind decode_rll_deletion, on every received word."""
+
     def test_golden(self):
-        result = vt_core.decode_deletion([2, 1, 4, 5, 2, 1, 0, 2], DvtParams(9, 7, 0))
-        assert result.codeword == GOLDEN_CODEWORD_1D
-        assert result.position == 1
+        received = [2, 1, 4, 5, 2, 1, 0, 2]
+        assert vt_core._deletion_candidates(received, DvtParams(9, 7, 0)) == [GOLDEN_CODEWORD_1D]
+        assert vt_core.deletion_index(GOLDEN_CODEWORD_1D, received) == 1
 
     def test_all_zero(self):
-        result = vt_core.decode_deletion([0, 0, 0], DvtParams(4, 3, 0))
-        assert result.codeword == [0, 0, 0, 0]
-        assert result.position == 1
+        assert vt_core._deletion_candidates([0, 0, 0], DvtParams(4, 3, 0)) == [[0, 0, 0, 0]]
+        assert vt_core.deletion_index([0, 0, 0, 0], [0, 0, 0]) == 1
 
     def test_no_candidate(self):
         # DVT_1(2; 3) = {(1, 0)}; the word (2,) is not in its deletion ball.
         assert brute_deletion_candidates([2], DvtParams(2, 3, 1)) == []
+        assert vt_core._deletion_candidates([2], DvtParams(2, 3, 1)) == []
         with pytest.raises(NoCandidateError):
-            vt_core.decode_deletion([2], DvtParams(2, 3, 1))
+            vt_core.decode_rll_deletion([2], DvtParams(2, 3, 1))
 
     def test_validates_input(self):
         with pytest.raises(ValueError):
-            vt_core.decode_deletion([0, 0], DvtParams(4, 3, 0))
+            vt_core.decode_rll_deletion([0, 0], DvtParams(4, 3, 0))
         with pytest.raises(ValueError):
-            vt_core.decode_deletion([0, 3, 0], DvtParams(4, 3, 0))
+            vt_core.decode_rll_deletion([0, 3, 0], DvtParams(4, 3, 0))
         with pytest.raises(ValueError):
-            vt_core.decode_deletion([], DvtParams(1, 3, 0))
+            vt_core.decode_rll_deletion([], DvtParams(1, 3, 0))
 
     @pytest.mark.parametrize("n,q", [(2, 3), (3, 3), (4, 3), (5, 3), (3, 4), (4, 4)])
     def test_agrees_with_bruteforce_on_every_input(self, n, q):
-        """The congruence-solving decoder must behave exactly like trying
-        every (position, symbol) insertion, on *arbitrary* received words."""
+        """The congruence-solving search must find exactly what trying every
+        (position, symbol) insertion finds, on *arbitrary* received words."""
         for a in range(q * n):
             params = DvtParams(n, q, a)
             for w in iter_words(n - 1, q):
                 received = list(w)
                 expected = brute_deletion_candidates(received, params)
                 assert len(expected) <= 1, "single-deletion balls must be disjoint"
-                if not expected:
-                    with pytest.raises(NoCandidateError):
-                        vt_core.decode_deletion(received, params)
-                else:
-                    result = vt_core.decode_deletion(received, params)
-                    assert result.codeword == expected[0]
+                assert vt_core._deletion_candidates(received, params) == expected
+                if expected:
                     positions = [
                         p
                         for p in range(1, n + 1)
-                        if result.codeword[: p - 1] + result.codeword[p:] == received
+                        if expected[0][: p - 1] + expected[0][p:] == received
                     ]
-                    assert positions and result.position == min(positions)
+                    assert vt_core.deletion_index(expected[0], received) == min(positions)
 
 
 class TestRllDeletionDecode:
@@ -196,43 +194,6 @@ class TestRllDeletionDecode:
         # run-length limited, so the RLL decoder reports no candidate.
         with pytest.raises(NoCandidateError):
             vt_core.decode_rll_deletion([0, 0, 0], DvtParams(4, 3, 0))
-
-
-class TestInsertionDecode:
-    def test_golden(self):
-        received = [3] + GOLDEN_CODEWORD_1D
-        assert vt_core.decode_insertion(received, DvtParams(9, 7, 0)) == GOLDEN_CODEWORD_1D
-
-    def test_validates_input(self):
-        with pytest.raises(ValueError):
-            vt_core.decode_insertion([0, 0, 0], DvtParams(4, 3, 0))
-
-    def test_received_word_is_checked_once(self, monkeypatch):
-        calls = []
-        real_check = vt_core.check_symbols
-
-        def check_spy(*args):
-            calls.append(args)
-            return real_check(*args)
-
-        monkeypatch.setattr(vt_core, "check_symbols", check_spy)
-        received = [3] + GOLDEN_CODEWORD_1D
-        assert vt_core.decode_insertion(received, DvtParams(9, 7, 0)) == GOLDEN_CODEWORD_1D
-        assert len(calls) == 1
-
-    @pytest.mark.parametrize("n,q", [(2, 3), (3, 3), (4, 3), (3, 4)])
-    def test_agrees_with_bruteforce_on_every_input(self, n, q):
-        for a in range(q * n):
-            params = DvtParams(n, q, a)
-            for w in iter_words(n + 1, q):
-                received = list(w)
-                expected = brute_insertion_candidates(received, params)
-                assert len(expected) <= 1, "single-insertion balls must be disjoint"
-                if not expected:
-                    with pytest.raises(NoCandidateError):
-                        vt_core.decode_insertion(received, params)
-                else:
-                    assert vt_core.decode_insertion(received, params) == expected[0]
 
 
 class TestDeletionIndex:
