@@ -2,11 +2,12 @@
 
 The package is layered bottom-up:
 
-  * vt_core -- differential VT sequence codes: the diff transform, the
+  * vt_core -- the differential VT code DVT_0: the diff transform, the
     syndrome, membership, and the single-deletion decoder for words with
     no two equal adjacent symbols.
-  * rll_suffix -- run-length-limited VT codes with a fixed suffix, whose
-    single deletions can be located exactly; encoder and data recovery.
+  * rll_suffix -- the run-length-limited codes RLL_DVT_0 with a fixed
+    suffix, whose single deletions can be located exactly; encoder,
+    decoder and data recovery.
   * crisscross -- the n x n array code built from a protected first row,
     a protected last column and parity conditions; encode, corrupt,
     decode and recover operations.
@@ -30,7 +31,6 @@ from .errors import (
     NotDecodableError,
 )
 from .rll_suffix import RllSuffixParams
-from .vt_core import DvtParams
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "CodecError",
     "CodeParams",
     "DecodingError",
-    "DvtParams",
     "EncodingError",
     "MessageLengths",
     "NoCandidateError",

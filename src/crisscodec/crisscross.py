@@ -87,13 +87,13 @@ class MessageLengths(NamedTuple):
 @lru_cache
 def first_row_params(params: CodeParams) -> RllSuffixParams:
     """1-D code protecting the first row."""
-    return RllSuffixParams(params.n - 2, params.q, 0, (0, 2))
+    return RllSuffixParams(params.n - 2, params.q, (0, 2))
 
 
 @lru_cache
 def last_column_params(params: CodeParams) -> RllSuffixParams:
     """1-D code protecting the reversed last column."""
-    return RllSuffixParams(params.n - 3, params.q, 0, (0, 1, 2))
+    return RllSuffixParams(params.n - 3, params.q, (0, 1, 2))
 
 
 def check_array(

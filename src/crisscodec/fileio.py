@@ -68,6 +68,8 @@ def loads(text: str) -> ArrayFile:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError("not valid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise ValueError("top-level JSON value must be an object")
     payload_key = "symbols" if raw.get("kind") == "data" else "rows"

@@ -1,15 +1,15 @@
 """Run-length-limited differential VT codes with a fixed suffix.
 
-RLL_DVT_a(n, m; b) is the set of sequences x of length n + m over
+RLL_DVT_0(n, m; b) is the set of sequences x of length n + m over
 {0, ..., q-1}, where m = len(b) is the suffix length, such that
 
-  * x belongs to DVT_a(n + m; q),
+  * x belongs to DVT_0(n + m; q),
   * no two adjacent symbols of x are equal (the 1-RLL property), and
   * the last m symbols equal the fixed suffix b (itself 1-RLL).
 
-Because codewords are 1-RLL, a single deletion can be located exactly,
-which is what makes these sequences usable as the protected first row
-and last column of the two-dimensional code.
+Because codewords are 1-RLL, the vt_core decoder locates a single
+deletion exactly, which is what makes these sequences usable as the
+protected first row and last column of the two-dimensional code.
 
 The encoder is systematic on the differential side: data symbols are
 written into the free positions, three high positions carry a greedy
@@ -26,20 +26,18 @@ from typing import NamedTuple, Sequence
 
 from . import vt_core
 from .errors import EncodingError, NoCandidateError
-from .vt_core import DvtParams
 
 
 @dataclass(frozen=True)
 class RllSuffixParams:
-    """Parameters of RLL_DVT_a(n, m; b) over the alphabet {0, ..., q-1}.
+    """Parameters of RLL_DVT_0(n, m; b) over the alphabet {0, ..., q-1}.
 
-    n is the free body length, a the syndrome residue modulo q*(n+m),
-    and b the fixed non-empty suffix, whose length is m.
+    n is the free body length and b the fixed non-empty suffix, whose
+    length is m.
     """
 
     n: int
     q: int
-    a: int
     b: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -52,8 +50,6 @@ class RllSuffixParams:
         object.__setattr__(self, "b", tuple(vt_core.check_symbols(self.b, self.q, "suffix")))
         if not vt_core.adjacent_distinct(self.b):
             raise ValueError(f"suffix {self.b} has equal adjacent symbols")
-        # Checks the residue range; built once, not per is_member/decode call.
-        object.__setattr__(self, "_dvt", DvtParams(self.length, self.q, self.a))
 
     @property
     def m(self) -> int:
@@ -62,9 +58,6 @@ class RllSuffixParams:
     @property
     def length(self) -> int:
         return self.n + self.m
-
-    def dvt(self) -> DvtParams:
-        return self._dvt
 
 
 class IndexSets(NamedTuple):
@@ -169,7 +162,7 @@ def encodable(n: int, m: int, q: int) -> bool:
     """True iff encode cannot overflow the power positions at body n, suffix length m, alphabet q.
 
     The greedy remainder depends only on the syndrome residue, so this
-    certifies every residue in [0, q(n+m)), hence every a, suffix and
+    certifies every residue in [0, q(n+m)), hence every suffix and
     message.  The greedy e-values only ever step up as the residue
     grows; between steps the remainder grows by 1 per residue, and just
     before a step at high position j it is j - 1 <= n - 1, which always
@@ -184,7 +177,7 @@ def encodable(n: int, m: int, q: int) -> bool:
 
 
 def encode(data: Sequence[int], params: RllSuffixParams) -> list[int]:
-    """Encode data symbols into a codeword of RLL_DVT_a(n, m; b).
+    """Encode data symbols into a codeword of RLL_DVT_0(n, m; b).
 
     Data symbols live in {0, ..., q-2}; there are data_length(n, q) of
     them.  Where encodable(n, m, q) is False the residue left for the
@@ -192,7 +185,7 @@ def encode(data: Sequence[int], params: RllSuffixParams) -> list[int]:
     raised; the output is always validated against is_member before
     being returned, and EncodingError is raised if it fails.
     """
-    n, m, q, a, b = params.n, params.m, params.q, params.a, params.b
+    n, m, q, b = params.n, params.m, params.q, params.b
     sets = index_sets(n, q)
     expected = len(sets.data)
     if len(data) != expected:
@@ -208,7 +201,7 @@ def encode(data: Sequence[int], params: RllSuffixParams) -> list[int]:
     for j in sets.power + sets.high:
         y[j] = 1  # the least value each reserved position takes
     y[n + 1 :] = vt_core.diff(b, q)
-    residue = (a - vt_core.syndrome(y[1:])) % modulus
+    residue = -vt_core.syndrome(y[1:]) % modulus
 
     greedy, remainder = _greedy(residue, sets.high, q)
     for j, e in zip(sets.high, greedy):
@@ -231,11 +224,13 @@ def encode(data: Sequence[int], params: RllSuffixParams) -> list[int]:
 
 
 def _differential(x: Sequence[int], params: RllSuffixParams) -> list[int] | None:
-    """diff(x) if x is a codeword of RLL_DVT_a(n, m; b), else None.
+    """diff(x) if x is a codeword of RLL_DVT_0(n, m; b), else None.
 
     Raises ValueError unless x has the code length and lies in the alphabet.
     """
-    y = vt_core.dvt_differential(x, params.dvt())
+    if len(x) != params.length:
+        raise ValueError(f"expected a sequence of length {params.length}, got {len(x)}")
+    y = vt_core.dvt_differential(x, params.q)
     if y is None or not vt_core.adjacent_distinct(x) or tuple(x[params.n :]) != params.b:
         return None
     return y
@@ -248,11 +243,15 @@ def is_member(x: Sequence[int], params: RllSuffixParams) -> bool:
 
 def decode(received: Sequence[int], params: RllSuffixParams) -> vt_core.DeletionDecode:
     """Recover codeword and exact deletion position from one deletion."""
-    result = vt_core.decode_rll_deletion(received, params.dvt())
+    if len(received) != params.length - 1:
+        raise ValueError(
+            f"expected a received word of length {params.length - 1}, got {len(received)}"
+        )
+    result = vt_core.decode_rll_deletion(received, params.q)
     if tuple(result.codeword[params.n :]) != params.b:
         raise NoCandidateError(
             f"the only consistent codeword does not end with the suffix {params.b}"
-        ) from None
+        )
     return result
 
 

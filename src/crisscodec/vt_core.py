@@ -1,20 +1,20 @@
-"""Differential Varshamov-Tenengolts (VT) sequence codes.
+"""Differential Varshamov-Tenengolts (VT) sequence codes with residue 0.
 
 A length-n sequence x over the alphabet {0, ..., q-1} is mapped to its
 differential form y = diff(x) with y_i = x_i - x_{i+1} (mod q) for i < n
-and y_n = x_n.  The code DVT_a(n; q) collects the sequences whose
-differential VT syndrome sum(i * y_i) is congruent to a modulo q*n.
-Every such code corrects one symbol deletion.  The codec decodes only
-run-length-limited words, with no two equal adjacent symbols, and for
-those `decode_rll_deletion` pins down the deletion position exactly.
+and y_n = x_n.  The code DVT_0(n; q) collects the sequences whose
+differential VT syndrome sum(i * y_i) is divisible by q*n; it corrects
+one symbol deletion.  The codec decodes only run-length-limited words,
+with no two equal adjacent symbols, and for those `decode_rll_deletion`
+pins down the deletion position exactly.
 
-Sequences are plain lists of ints; the alphabet size q travels in the
-parameter objects.  Positions in the public API are 1-based.
+Sequences are plain lists of ints; the kernels take the alphabet size q
+and read the length from the word.  Positions in the public API are
+1-based.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count, islice, repeat
 from numbers import Integral
 from operator import mod, mul, ne, sub
@@ -23,29 +23,6 @@ from typing import NamedTuple, Sequence
 from .errors import AmbiguousCodewordError, NoCandidateError
 
 _PLAIN_INT = frozenset({int})
-
-
-@dataclass(frozen=True)
-class DvtParams:
-    """Parameters (n, q, a) of the code DVT_a(n; q)."""
-
-    n: int
-    q: int
-    a: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"sequence length must be >= 1, got n={self.n}")
-        if self.q < 2:
-            raise ValueError(f"alphabet size must be >= 2, got q={self.q}")
-        if not 0 <= self.a < self.q * self.n:
-            raise ValueError(
-                f"syndrome residue must lie in [0, q*n) = [0, {self.q * self.n}), got a={self.a}"
-            )
-
-    @property
-    def modulus(self) -> int:
-        return self.q * self.n
 
 
 class DeletionDecode(NamedTuple):
@@ -109,30 +86,15 @@ def adjacent_distinct(x: Sequence[int]) -> bool:
     return all(map(ne, x, islice(x, 1, None)))
 
 
-def dvt_differential(x: Sequence[int], params: DvtParams) -> list[int] | None:
-    """diff(x) if x is a codeword of DVT_a(n; q), else None; raises on wrong length or alphabet."""
-    if len(x) != params.n:
-        raise ValueError(f"expected a sequence of length {params.n}, got {len(x)}")
-    y = diff(check_symbols(x, params.q), params.q)
-    return y if syndrome(y) % params.modulus == params.a else None
+def dvt_differential(x: Sequence[int], q: int) -> list[int] | None:
+    """diff(x) if x is a codeword of DVT_0(len(x); q), else None; raises on a bad alphabet."""
+    y = diff(check_symbols(x, q), q)
+    return y if syndrome(y) % (q * len(x)) == 0 else None
 
 
-def deletion_index(codeword: Sequence[int], received: Sequence[int]) -> int | None:
-    """Smallest 1-based i with delete(codeword, i) == received, else None."""
-    n = len(codeword)
-    if len(received) != n - 1:
-        return None
-    suffix = 0
-    while suffix < n - 1 and codeword[n - 1 - suffix] == received[n - 2 - suffix]:
-        suffix += 1
-    pos = n - suffix
-    if all(codeword[i] == received[i] for i in range(pos - 1)):
-        return pos
-    return None
-
-
-def _deletion_candidates(received: Sequence[int], params: DvtParams) -> list[list[int]]:
-    """All distinct codewords of DVT_a(n; q) one deletion away from `received`.
+def decode_rll_deletion(received: Sequence[int], q: int) -> DeletionDecode:
+    """Recover the codeword of DVT_0(n; q), n = len(received) + 1, with
+    distinct adjacent symbols that lost one symbol.
 
     Inserting a symbol at position p of the received word w replaces the
     differential y(w) with a word that agrees with it outside positions
@@ -143,15 +105,14 @@ def _deletion_candidates(received: Sequence[int], params: DvtParams) -> list[lis
     differential y(w)_{p-1} = alpha + beta - q*delta wraps around q.
     For each (p, delta) the membership congruence then fixes beta modulo
     q*n, so at most one inserted symbol works: no per-symbol search is
-    needed, and the candidate set equals the one found by trying every
-    (position, symbol) pair.
+    needed.  Only run-length-limited candidates are kept.  Such a word
+    loses a symbol at exactly one position, so no candidate is found
+    twice and the insertion position p is the exact deletion position.
     """
-    n, q, a = params.n, params.q, params.a
-    if len(received) != n - 1:
-        raise ValueError(f"expected a received word of length {n - 1}, got {len(received)}")
-    modulus = params.modulus
+    n = len(received) + 1
+    modulus = q * n
     w = list(check_symbols(received, q, "received"))
-    z = diff(w, q) if w else []
+    z = diff(w, q)
     syn = syndrome(z)
 
     # tail[p] = sum of z_p..z_{n-1} over 1-based positions; tail[n] = 0.
@@ -159,51 +120,34 @@ def _deletion_candidates(received: Sequence[int], params: DvtParams) -> list[lis
     for p in range(n - 1, 0, -1):
         tail[p] = tail[p + 1] + z[p - 1]
 
-    candidates: dict[tuple[int, ...], list[int]] = {}
-
-    # Insertion in front: the new leading differential alpha is forced.
-    alpha = (a - syn - tail[1]) % modulus
+    # (position, word) pairs; the insertion in front forces its leading
+    # differential alpha.
+    found = []
+    alpha = (-syn - tail[1]) % modulus
     if alpha < q:
-        first = (w[0] + alpha) % q if w else alpha
-        cand = [first] + w
-        candidates[tuple(cand)] = cand
+        found.append((1, [(w[0] + alpha) % q] + w))
 
     # Insertion at position p >= 2 splits the old differential z_{p-1}.
     for p in range(2, n + 1):
         old = z[p - 2]
         for delta in (0, 1):
-            beta = (a - syn - tail[p] - (p - 1) * q * delta) % modulus
+            beta = (-syn - tail[p] - (p - 1) * q * delta) % modulus
             if beta >= q:
                 continue
             alpha = old + q * delta - beta
             if not 0 <= alpha < q:
                 continue
             symbol = beta if p == n else (w[p - 1] + beta) % q
-            cand = w[: p - 1] + [symbol] + w[p - 1 :]
-            candidates[tuple(cand)] = cand
+            found.append((p, w[: p - 1] + [symbol] + w[p - 1 :]))
 
-    return list(candidates.values())
-
-
-def decode_rll_deletion(received: Sequence[int], params: DvtParams) -> DeletionDecode:
-    """Recover the codeword with distinct adjacent symbols that lost one symbol.
-
-    Only such run-length-limited codewords are candidates, and for them
-    the deletion position is unique, so `position` in the result is exact.
-    """
-    if params.n < 2:
-        raise ValueError("deletion decoding needs a codeword length of at least 2")
-    candidates = [c for c in _deletion_candidates(received, params) if adjacent_distinct(c)]
+    candidates = [DeletionDecode(cand, p) for p, cand in found if adjacent_distinct(cand)]
     if not candidates:
         raise NoCandidateError(
-            f"no run-length-limited codeword of DVT_{params.a}({params.n}; {params.q}) "
+            f"no run-length-limited codeword of DVT_0({n}; {q}) "
             f"yields the received word by one deletion"
         )
     if len(candidates) > 1:
         raise AmbiguousCodewordError(
             f"{len(candidates)} distinct codewords match the received word"
         )
-    codeword = candidates[0]
-    pos = deletion_index(codeword, received)
-    assert pos is not None
-    return DeletionDecode(codeword, pos)
+    return candidates[0]

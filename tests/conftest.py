@@ -14,12 +14,25 @@ so they share no code with the optimized paths they check.
 from __future__ import annotations
 
 import itertools
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import configuration
 
 from crisscodec import rll_suffix
-from crisscodec.vt_core import DvtParams
+
+
+def pytest_configure(config):
+    """Give Hypothesis a temporary home for the session.
+
+    Hypothesis caches the constants it finds in local source files under
+    its home, ./.hypothesis by default, even with no example database.
+    """
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    configuration.set_hypothesis_home_dir(home.name)
+
 
 GOLDEN_N = 9
 GOLDEN_Q = 7
@@ -99,6 +112,16 @@ def adjacent_distinct_loop(x):
     return True
 
 
+def rll_words(n, q):
+    """All q(q-1)^(n-1) words of length n with no two equal adjacent symbols."""
+    for first in range(q):
+        for steps in itertools.product(range(1, q), repeat=n - 1):
+            x = [first]
+            for step in steps:
+                x.append((x[-1] + step) % q)
+            yield x
+
+
 def encode_intermediates(x, n: int, q: int) -> dict:
     """The values the 1-D encoder placed in codeword x with body length n.
 
@@ -131,23 +154,18 @@ def rll_decode_calls(monkeypatch):
     return calls
 
 
-def brute_deletion_candidates(received, params: DvtParams) -> list[list[int]]:
-    """Definition-level oracle: try every (position, symbol) insertion."""
+def brute_deletion_candidates(received, q: int) -> list[list[int]]:
+    """Definition-level oracle: the distinct words of DVT_0(n; q), n = len(received) + 1,
+    found by trying every (position, symbol) insertion."""
     seen = {}
     w = list(received)
-    for p in range(1, params.n + 1):
-        for s in range(params.q):
+    n = len(w) + 1
+    for p in range(1, n + 1):
+        for s in range(q):
             cand = w[: p - 1] + [s] + w[p - 1 :]
-            if is_member_quiet(cand, params):
+            if syndrome_loop(diff_loop(cand, q)) % (q * n) == 0:
                 seen[tuple(cand)] = cand
     return list(seen.values())
-
-
-def is_member_quiet(x, params: DvtParams) -> bool:
-    """x lies in DVT_a(n; q); False, not an error, on a wrong length."""
-    if len(x) != params.n:
-        return False
-    return syndrome_loop(diff_loop(x, params.q)) % (params.q * params.n) == params.a
 
 
 def enumerate_protected_words(n: int, q: int, suffix: tuple[int, ...]) -> list[list[int]]:

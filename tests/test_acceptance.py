@@ -35,8 +35,8 @@ from conftest import (
 )
 from crisscodec import analysis, crisscross, fixtures, rll_suffix, vt_core
 from crisscodec.crisscross import CodeParams
+from crisscodec.errors import NoCandidateError
 from crisscodec.rll_suffix import RllSuffixParams
-from crisscodec.vt_core import DvtParams
 
 GOLDEN_PARAMS = CodeParams(9, 7)
 
@@ -70,7 +70,7 @@ def _best_of(k, fn):
 
 @criterion("golden-1d-encode")
 def test_acc01_golden_1d_encode():
-    params = RllSuffixParams(7, 7, 0, (0, 2))
+    params = RllSuffixParams(7, 7, (0, 2))
     x = rll_suffix.encode([0, 3], params)
     assert x == GOLDEN_CODEWORD_1D
     assert encode_intermediates(x, params.n, params.q) == GOLDEN_INTERMEDIATES_1D
@@ -157,33 +157,33 @@ def test_acc04_deletion_sweep(deletion_sweep):
 
 @criterion("vt-oracle-agreement")
 def test_acc05_vt_oracle_agreement():
-    """The optimized 1-D deletion search matches definition-level enumeration exactly.
+    """The optimized 1-D deletion decoder matches definition-level enumeration exactly.
 
-    Every word x is a codeword of the code its own syndrome picks, and each
-    of its deletions is searched, words with equal adjacent symbols
-    included; the run-length-limited ones also go through the decoder.
+    Every deletion of every word of DVT_0(n; 3) is searched, words with
+    equal adjacent symbols included: brute enumeration must find the word
+    again, and the decoder must return it with the deletion position when
+    it is run-length limited and refuse it otherwise.
     """
     q = 3
     decodes = 0
     start = time.perf_counter()
-    for n in range(2, 7):
+    for n in range(2, 10):
         for word in itertools.product(range(q), repeat=n):
             x = list(word)
-            a = vt_core.syndrome(vt_core.diff(x, q)) % (q * n)
-            params = DvtParams(n, q, a)
+            if vt_core.syndrome(vt_core.diff(x, q)) % (q * n):
+                continue
             rll = vt_core.adjacent_distinct(x)
             for d in range(1, n + 1):
                 received = x[: d - 1] + x[d:]
-                cands = brute_deletion_candidates(received, params)
-                assert cands == [x]
-                assert vt_core._deletion_candidates(received, params) == cands
-                assert vt_core.deletion_index(x, received) == min(
-                    p for p in range(1, n + 1) if x[: p - 1] + x[p:] == received
-                )
+                assert brute_deletion_candidates(received, q) == [x]
                 if rll:
-                    assert vt_core.decode_rll_deletion(received, params) == (x, d)
+                    assert vt_core.decode_rll_deletion(received, q) == (x, d)
+                else:
+                    with pytest.raises(NoCandidateError):
+                        vt_core.decode_rll_deletion(received, q)
                 decodes += 1
     elapsed = time.perf_counter() - start
+    assert decodes == 9902
     assert elapsed < 60, f"oracle sweep took {elapsed:.1f} s (budget 60 s)"
     return f"{decodes} deletion searches agree with brute enumeration in {elapsed:.1f} s"
 

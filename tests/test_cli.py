@@ -116,6 +116,12 @@ class TestExitCodes:
         assert main(["verify", "--in", str(path)]) == 2
         assert "JSON" in capsys.readouterr().err
 
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["decode", "--in", str(path)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
     def test_bad_corrupt_index(self, capsys, array_path):
         rc = main(["corrupt", "--in", str(array_path), "--row", "0", "--col", "1"])
         assert rc == 2

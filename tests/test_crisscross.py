@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     GOLDEN_ARRAY,
@@ -333,6 +335,32 @@ class TestDecode:
         for Y in ([[0] * 3] * 3, [[1, 2, 3], [4, 5, 6], [0, 1, 2]]):
             with pytest.raises(DecodingError):
                 crisscross.decode([list(r) for r in Y], params)
+
+
+class TestAdversarialDecode:
+    """The decoder never returns a non-codeword, whatever it is given."""
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_refuses_or_returns_a_codeword_over_the_input(self, data):
+        n, q = data.draw(st.sampled_from([(11, 3), (12, 5)]), label="(n, q)")
+        params = CodeParams(n, q)
+        total = crisscross.message_lengths(params).total
+        message = data.draw(
+            st.lists(st.integers(0, q - 1), min_size=total, max_size=total), label="message"
+        )
+        i = data.draw(st.integers(1, n), label="i")
+        j = data.draw(st.integers(1, n), label="j")
+        Y = crisscross.corrupt(crisscross.encode(message, params), i, j)
+        cell = st.tuples(st.integers(0, n - 2), st.integers(0, n - 2), st.integers(0, q - 1))
+        for r, c, s in data.draw(st.lists(cell, max_size=2), label="substitutions"):
+            Y[r][c] = s
+        try:
+            X = crisscross.decode(Y, params)
+        except DecodingError:
+            return
+        assert crisscross.first_violation(X, params) is None
+        assert tuple(map(tuple, Y)) in deletion_ball(X)
 
 
 class TestInputBoundary:

@@ -137,6 +137,10 @@ class TestLoads:
         with pytest.raises(ValueError, match="object"):
             fileio.loads("[1, 2, 3]")
 
+    def test_rejects_deep_nesting(self):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            fileio.loads("[" * 200_000 + "]" * 200_000)
+
     def test_rejects_extra_keys(self):
         with pytest.raises(ValueError, match="exactly the keys"):
             fileio.loads('{"kind": "data", "q": 3, "n": 9, "symbols": [0], "x": 1}')

@@ -1,8 +1,9 @@
-"""Package import surface, and no public name that only the tests call."""
+"""Package import surface, no public name that only the tests call, no stale doc reference."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -13,6 +14,7 @@ import crisscodec
 
 SRC = Path(crisscodec.__file__).resolve().parent
 PERFBENCH = SRC.parents[1] / "perfbench"
+README = SRC.parents[1] / "README.md"
 
 
 def test_importing_the_codec_does_not_load_numpy():
@@ -78,3 +80,20 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         and not re.search(rf"\b{module}\.{node.name}\b", bench)
     ]
     assert not unused, f"only the tests call {unused}; move them into tests/"
+
+
+def test_every_module_reference_in_the_docs_resolves():
+    """Each `module.name` token in README.md or a package source, whose module
+    is a crisscodec module, names an attribute that exists."""
+    modules = sorted(path.stem for path in SRC.glob("*.py") if not path.stem.startswith("_"))
+    token = re.compile(rf"\b({'|'.join(modules)})((?:\.\w+)+)")
+    stale = []
+    for path in [README, *sorted(SRC.glob("*.py"))]:
+        for module, chain in token.findall(path.read_text()):
+            target = importlib.import_module(f"crisscodec.{module}")
+            for name in chain[1:].split("."):
+                if not hasattr(target, name):
+                    stale.append(f"{path.name}: {module}{chain}")
+                    break
+                target = getattr(target, name)
+    assert not stale, f"these references name nothing: {stale}"

@@ -13,33 +13,30 @@ from conftest import (
     GOLDEN_INTERMEDIATES_1D,
     encode_intermediates,
     enumerate_protected_words,
+    rll_words,
 )
 from crisscodec import rll_suffix, vt_core
 from crisscodec.crisscross import CodeParams, first_row_params
 from crisscodec.errors import EncodingError, NoCandidateError
 from crisscodec.rll_suffix import RllSuffixParams
 
-GOLDEN_PARAMS = RllSuffixParams(7, 7, 0, (0, 2))
+GOLDEN_PARAMS = RllSuffixParams(7, 7, (0, 2))
 
 
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
-            RllSuffixParams(7, 2, 0, (0, 1))  # q too small
+            RllSuffixParams(7, 2, (0, 1))  # q too small
         with pytest.raises(ValueError):
-            RllSuffixParams(0, 7, 0, (0, 2))
+            RllSuffixParams(0, 7, (0, 2))
         with pytest.raises(ValueError, match="non-empty"):
-            RllSuffixParams(7, 7, 0, ())  # empty suffix
+            RllSuffixParams(7, 7, ())  # empty suffix
         with pytest.raises(ValueError):
-            RllSuffixParams(7, 7, 0, (2, 2))  # equal adjacent suffix symbols
+            RllSuffixParams(7, 7, (2, 2))  # equal adjacent suffix symbols
         with pytest.raises(ValueError):
-            RllSuffixParams(7, 7, 63, (0, 2))  # residue out of range
-        with pytest.raises(ValueError):
-            RllSuffixParams(7, 7, 0, (0, 7))  # symbol out of alphabet
+            RllSuffixParams(7, 7, (0, 7))  # symbol out of alphabet
         assert GOLDEN_PARAMS.m == 2
         assert GOLDEN_PARAMS.length == 9
-        assert GOLDEN_PARAMS.dvt().modulus == 63
-        assert GOLDEN_PARAMS.dvt() is GOLDEN_PARAMS.dvt()  # built once
 
 
 class TestIndexSets:
@@ -85,22 +82,27 @@ class TestEncode:
         assert encode_intermediates(x, 7, 7) == GOLDEN_INTERMEDIATES_1D
 
     def test_golden_column(self):
-        params = RllSuffixParams(6, 7, 0, (0, 1, 2))
+        params = RllSuffixParams(6, 7, (0, 1, 2))
         assert rll_suffix.encode([0], params) == GOLDEN_COLUMN_1D
 
     def test_proven_range_gate(self):
         # The range is computed: both points a fixed floor (body >= 8,
         # suffix <= 3) once refused are certified, so every residue encodes.
+        # The messages and suffixes below reach all 3 * 16 residues.
         assert rll_suffix.encodable(7, 2, 7)
         assert rll_suffix.encode([0, 3], GOLDEN_PARAMS) == GOLDEN_CODEWORD_1D
         assert rll_suffix.encodable(12, 4, 3)
-        for a in range(3 * 16):
-            params = RllSuffixParams(12, 3, a, (0, 1, 2, 1))
-            x = rll_suffix.encode([1, 0, 1, 1, 0], params)
-            assert rll_suffix.recover_data(x, params) == [1, 0, 1, 1, 0]
+        residues = set()
+        for suffix in rll_words(4, 3):
+            params = RllSuffixParams(12, 3, suffix)
+            for data in itertools.product((0, 1), repeat=5):
+                x = rll_suffix.encode(list(data), params)
+                assert rll_suffix.recover_data(x, params) == list(data)
+                residues.add(encode_intermediates(x, 12, 3)["residue"])
+        assert residues == set(range(3 * 16))
 
     def test_validates_data(self):
-        params = RllSuffixParams(12, 3, 0, (0, 1, 2))
+        params = RllSuffixParams(12, 3, (0, 1, 2))
         with pytest.raises(ValueError):
             rll_suffix.encode([0] * 4, params)  # needs 5 symbols
         with pytest.raises(ValueError):
@@ -115,7 +117,7 @@ class TestEncode:
             rll_suffix.encode([bad, 0], params)
 
     def test_exhaustive_smallest_proven_body(self):
-        params = RllSuffixParams(8, 3, 0, (0,))
+        params = RllSuffixParams(8, 3, (0,))
         words = []
         for f in (0, 1):
             x = rll_suffix.encode([f], params)
@@ -130,7 +132,7 @@ class TestEncode:
         assert words[0] != words[1]
 
     def test_round_trip_all_messages(self):
-        params = RllSuffixParams(12, 3, 0, (0, 1, 2))
+        params = RllSuffixParams(12, 3, (0, 1, 2))
         seen = set()
         for data in itertools.product((0, 1), repeat=5):
             x = rll_suffix.encode(list(data), params)
@@ -140,36 +142,43 @@ class TestEncode:
         assert len(seen) == 32  # encoding is injective
 
     def test_round_trip_nonzero_residue(self):
-        for a in (1, 17, 59):
-            params = RllSuffixParams(12, 5, a, (0, 1, 2))
-            width = rll_suffix.data_length(12, 5)
+        width = rll_suffix.data_length(12, 5)
+        residues = set()
+        for suffix in rll_words(3, 5):
+            params = RllSuffixParams(12, 5, suffix)
             for data in ([0] * width, [3] * width, list(range(width))):
                 data = [d % 4 for d in data]
                 x = rll_suffix.encode(data, params)
                 assert rll_suffix.is_member(x, params)
                 assert rll_suffix.recover_data(x, params) == data
+                residues.add(encode_intermediates(x, 12, 5)["residue"])
+        assert len(residues) == 65  # of the 5 * 15 residues
 
     def test_unproven_capacity_overflow(self):
-        # At this uncertified point the greedy pass cannot absorb the residue.
+        # At this uncertified point the greedy pass cannot absorb the
+        # residue that this suffix and message leave; another suffix fits.
         assert not rll_suffix.encodable(8, 4, 3)
-        params = RllSuffixParams(8, 3, 23, (0, 1, 2, 0))
-        with pytest.raises(EncodingError, match="capacity"):
+        params = RllSuffixParams(8, 3, (1, 2, 0, 2))
+        with pytest.raises(EncodingError, match="residue 17 exceeds .* capacity"):
             rll_suffix.encode([0], params)
+        params = RllSuffixParams(8, 3, (0, 1, 0, 1))
+        assert rll_suffix.recover_data(rll_suffix.encode([0], params), params) == [0]
 
     def test_unproven_output_still_validated(self):
         # At an uncertified point every encode either overflows or yields
         # a genuine codeword, and both happen.
         outcomes = set()
-        for a in range(3 * 12):
-            params = RllSuffixParams(8, 3, a, (0, 1, 2, 0))
-            try:
-                x = rll_suffix.encode([1], params)
-            except EncodingError:
-                outcomes.add("overflow")
-                continue
-            assert rll_suffix.is_member(x, params)
-            assert rll_suffix.recover_data(x, params) == [1]
-            outcomes.add("codeword")
+        for suffix in rll_words(4, 3):
+            params = RllSuffixParams(8, 3, suffix)
+            for f in (0, 1):
+                try:
+                    x = rll_suffix.encode([f], params)
+                except EncodingError:
+                    outcomes.add("overflow")
+                    continue
+                assert rll_suffix.is_member(x, params)
+                assert rll_suffix.recover_data(x, params) == [f]
+                outcomes.add("codeword")
         assert outcomes == {"overflow", "codeword"}
 
     def test_output_failing_membership_is_encoding_error(self, monkeypatch):
@@ -217,7 +226,7 @@ class TestMembership:
 
     @pytest.mark.parametrize("q", [3, 4])
     def test_agrees_with_pure_enumeration(self, q):
-        params = RllSuffixParams(5, q, 0, (0, 1, 2))
+        params = RllSuffixParams(5, q, (0, 1, 2))
         expected = {tuple(x) for x in enumerate_protected_words(8, q, (0, 1, 2))}
         got = {
             x
@@ -242,15 +251,18 @@ class TestDecode:
     def test_suffix_mismatch_rejected(self):
         # A word whose only consistent codeword ends with (0, 1), decoded
         # under suffix (0, 2) parameters, must be reported as hopeless.
-        other = RllSuffixParams(7, 7, 0, (0, 1))
+        other = RllSuffixParams(7, 7, (0, 1))
         x = rll_suffix.encode([0, 0], other)
-        params = RllSuffixParams(7, 7, 0, (0, 2))
+        params = RllSuffixParams(7, 7, (0, 2))
         with pytest.raises(NoCandidateError):
             rll_suffix.decode(x[1:], params)
 
     def test_validates_input(self):
-        with pytest.raises(ValueError):
-            rll_suffix.decode([0, 2, 0], GOLDEN_PARAMS)  # wrong length
+        with pytest.raises(ValueError, match="received word of length 8, got 3"):
+            rll_suffix.decode([0, 2, 0], GOLDEN_PARAMS)
+        for call in (rll_suffix.is_member, rll_suffix.recover_data):
+            with pytest.raises(ValueError, match="sequence of length 9, got 8"):
+                call(GOLDEN_CODEWORD_1D[1:], GOLDEN_PARAMS)
 
 
 class TestRecoverData:

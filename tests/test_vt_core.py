@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import numpy as np
@@ -14,11 +13,11 @@ from conftest import (
     brute_deletion_candidates,
     diff_loop,
     iter_words,
+    rll_words,
     syndrome_loop,
 )
 from crisscodec import vt_core
 from crisscodec.errors import NoCandidateError
-from crisscodec.vt_core import DvtParams
 
 
 class TestDiff:
@@ -87,132 +86,101 @@ class TestKernelsAgainstLoops:
         assert vt_core.adjacent_distinct([]) is adjacent_distinct_loop([]) is True
 
 
-class TestDvtParams:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DvtParams(0, 3, 0)
-        with pytest.raises(ValueError):
-            DvtParams(5, 1, 0)
-        with pytest.raises(ValueError):
-            DvtParams(5, 3, 15)
-        with pytest.raises(ValueError):
-            DvtParams(5, 3, -1)
-        assert DvtParams(5, 3, 14).modulus == 15
-
+class TestMembership:
     def test_membership_golden(self):
-        golden = vt_core.dvt_differential(GOLDEN_CODEWORD_1D, DvtParams(9, 7, 0))
+        golden = vt_core.dvt_differential(GOLDEN_CODEWORD_1D, 7)
         assert golden == [2, 1, 4, 6, 3, 1, 1, 5, 2]
-        assert vt_core.dvt_differential([1, 2, 0], DvtParams(3, 3, 6)) == [2, 2, 0]
-        assert vt_core.dvt_differential([1, 2, 0], DvtParams(3, 3, 0)) is None
+        assert vt_core.dvt_differential([2, 0, 1], 3) == [2, 2, 1]
+        assert vt_core.dvt_differential([1, 2, 0], 3) is None
 
     def test_membership_validates_input(self):
         with pytest.raises(ValueError):
-            vt_core.dvt_differential([1, 2], DvtParams(3, 3, 0))
-        with pytest.raises(ValueError):
-            vt_core.dvt_differential([1, 3, 0], DvtParams(3, 3, 0))
+            vt_core.dvt_differential([1, 3, 0], 3)
 
     def test_member_symbol_sum_property(self):
-        # Members of DVT_a(n; q) have symbol sum congruent to a mod q.
+        # A word's symbol sum is congruent to its syndrome mod q, so the
+        # members of DVT_0(n; q) have a symbol sum divisible by q.
         q = 3
         for n in range(1, 6):
             for x in iter_words(n, q):
                 xs = list(x)
-                a = vt_core.syndrome(vt_core.diff(xs, q)) % (q * n)
-                assert sum(xs) % q == a % q
+                assert sum(xs) % q == vt_core.syndrome(vt_core.diff(xs, q)) % q
 
 
 class TestDeletionDecode:
-    """The candidate search behind decode_rll_deletion, on every received word."""
+    """decode_rll_deletion against the brute-force oracle, on every received word."""
 
     def test_golden(self):
         received = [2, 1, 4, 5, 2, 1, 0, 2]
-        assert vt_core._deletion_candidates(received, DvtParams(9, 7, 0)) == [GOLDEN_CODEWORD_1D]
-        assert vt_core.deletion_index(GOLDEN_CODEWORD_1D, received) == 1
-
-    def test_all_zero(self):
-        assert vt_core._deletion_candidates([0, 0, 0], DvtParams(4, 3, 0)) == [[0, 0, 0, 0]]
-        assert vt_core.deletion_index([0, 0, 0, 0], [0, 0, 0]) == 1
+        assert vt_core.decode_rll_deletion(received, 7) == (GOLDEN_CODEWORD_1D, 1)
 
     def test_no_candidate(self):
-        # DVT_1(2; 3) = {(1, 0)}; the word (2,) is not in its deletion ball.
-        assert brute_deletion_candidates([2], DvtParams(2, 3, 1)) == []
-        assert vt_core._deletion_candidates([2], DvtParams(2, 3, 1)) == []
+        # No word of DVT_0(3; 3) lies one deletion away from (1, 1).
+        assert brute_deletion_candidates([1, 1], 3) == []
         with pytest.raises(NoCandidateError):
-            vt_core.decode_rll_deletion([2], DvtParams(2, 3, 1))
+            vt_core.decode_rll_deletion([1, 1], 3)
+
+    def test_all_zero(self):
+        # An all-zero word lies only in the ball of the all-zero codeword,
+        # which is not run-length limited.
+        for q in (3, 4, 5):
+            for n in range(2, 9):
+                assert brute_deletion_candidates([0] * (n - 1), q) == [[0] * n]
+                with pytest.raises(NoCandidateError):
+                    vt_core.decode_rll_deletion([0] * (n - 1), q)
 
     def test_validates_input(self):
         with pytest.raises(ValueError):
-            vt_core.decode_rll_deletion([0, 0], DvtParams(4, 3, 0))
+            vt_core.decode_rll_deletion([0, 3, 0], 3)
         with pytest.raises(ValueError):
-            vt_core.decode_rll_deletion([0, 3, 0], DvtParams(4, 3, 0))
-        with pytest.raises(ValueError):
-            vt_core.decode_rll_deletion([], DvtParams(1, 3, 0))
+            vt_core.decode_rll_deletion([], 3)
 
-    @pytest.mark.parametrize("n,q", [(2, 3), (3, 3), (4, 3), (5, 3), (3, 4), (4, 4)])
+    @pytest.mark.parametrize(
+        "n,q",
+        [(2, 3), (3, 3), (4, 3), (5, 3), (6, 3), (7, 3), (3, 4), (4, 4), (5, 4), (6, 4),
+         (4, 5), (5, 5)],
+    )
     def test_agrees_with_bruteforce_on_every_input(self, n, q):
-        """The congruence-solving search must find exactly what trying every
-        (position, symbol) insertion finds, on *arbitrary* received words."""
-        for a in range(q * n):
-            params = DvtParams(n, q, a)
-            for w in iter_words(n - 1, q):
-                received = list(w)
-                expected = brute_deletion_candidates(received, params)
-                assert len(expected) <= 1, "single-deletion balls must be disjoint"
-                assert vt_core._deletion_candidates(received, params) == expected
-                if expected:
-                    positions = [
-                        p
-                        for p in range(1, n + 1)
-                        if expected[0][: p - 1] + expected[0][p:] == received
-                    ]
-                    assert vt_core.deletion_index(expected[0], received) == min(positions)
+        """The congruence-solving search must find exactly the run-length-limited
+        words that trying every (position, symbol) insertion finds, on
+        *arbitrary* received words, and the position of the only deletion."""
+        for w in iter_words(n - 1, q):
+            received = list(w)
+            found = brute_deletion_candidates(received, q)
+            assert len(found) <= 1, "single-deletion balls must be disjoint"
+            expected = [x for x in found if adjacent_distinct_loop(x)]
+            if not expected:
+                with pytest.raises(NoCandidateError):
+                    vt_core.decode_rll_deletion(received, q)
+                continue
+            x = expected[0]
+            [position] = [p for p in range(1, n + 1) if x[: p - 1] + x[p:] == received]
+            assert vt_core.decode_rll_deletion(received, q) == (x, position)
 
 
 class TestRllDeletionDecode:
     def test_golden(self):
-        result = vt_core.decode_rll_deletion([4, 2, 1, 4, 2, 1, 0, 2], DvtParams(9, 7, 0))
+        result = vt_core.decode_rll_deletion([4, 2, 1, 4, 2, 1, 0, 2], 7)
         assert result.codeword == GOLDEN_CODEWORD_1D
         assert result.position == 5
 
     def test_exact_positions_exhaustive(self):
         q = 3
-        for n in range(2, 7):
-            for x in iter_words(n, q):
-                xs = list(x)
-                if not vt_core.adjacent_distinct(xs):
+        pairs = 0
+        for n in range(2, 12):
+            for x in rll_words(n, q):
+                if vt_core.syndrome(vt_core.diff(x, q)) % (q * n):
                     continue
-                a = vt_core.syndrome(vt_core.diff(xs, q)) % (q * n)
-                params = DvtParams(n, q, a)
                 for d in range(1, n + 1):
-                    received = xs[: d - 1] + xs[d:]
-                    result = vt_core.decode_rll_deletion(received, params)
-                    assert result.codeword == xs
+                    received = x[: d - 1] + x[d:]
+                    result = vt_core.decode_rll_deletion(received, q)
+                    assert result.codeword == x
                     assert result.position == d
+                    pairs += 1
+        assert pairs == 2094
 
     def test_rejects_non_rll_codeword_ball(self):
         # (0, 0, 0, 0) is the only codeword over this ball, but it is not
         # run-length limited, so the RLL decoder reports no candidate.
         with pytest.raises(NoCandidateError):
-            vt_core.decode_rll_deletion([0, 0, 0], DvtParams(4, 3, 0))
-
-
-class TestDeletionIndex:
-    def test_smallest_index_in_runs(self):
-        assert vt_core.deletion_index([0, 0, 1, 0], [0, 1, 0]) == 1
-        assert vt_core.deletion_index([1, 0, 0, 2], [1, 0, 2]) == 2
-        assert vt_core.deletion_index([1, 2, 3], [1, 2]) == 3
-        assert vt_core.deletion_index([1, 2, 3], [3, 1]) is None
-        assert vt_core.deletion_index([1, 2, 3], [1, 2, 3]) is None
-
-    def test_matches_definition_exhaustive(self):
-        q = 3
-        for n in (2, 3, 4, 5):
-            for x in iter_words(n, q):
-                for w in iter_words(n - 1, q):
-                    positions = [
-                        p
-                        for p in range(1, n + 1)
-                        if list(x[: p - 1] + x[p:]) == list(w)
-                    ]
-                    expected = min(positions) if positions else None
-                    assert vt_core.deletion_index(list(x), list(w)) == expected
+            vt_core.decode_rll_deletion([0, 0, 0], 3)
