@@ -22,26 +22,16 @@ dependency: no module, the cli included, needs numpy.
 """
 
 from .crisscross import CodeParams, MessageLengths
-from .errors import (
-    AmbiguousCodewordError,
-    CodecError,
-    DecodingError,
-    EncodingError,
-    NoCandidateError,
-    NotDecodableError,
-)
+from .errors import CodecError, DecodingError, EncodingError
 from .rll_suffix import RllSuffixParams
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousCodewordError",
     "CodecError",
     "CodeParams",
     "DecodingError",
     "EncodingError",
     "MessageLengths",
-    "NoCandidateError",
-    "NotDecodableError",
     "RllSuffixParams",
 ]

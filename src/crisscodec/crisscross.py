@@ -36,7 +36,7 @@ public function mutates the arrays it is given.  The
 encoder checks the alphabet of the parity entries it computed before it
 checks the codeword conditions.  The decoder runs the full
 `first_violation` on its output and reports any failure there, a
-rebuilt entry outside the alphabet included, as NotDecodableError; that
+rebuilt entry outside the alphabet included, as DecodingError; that
 is what guarantees that it never returns a non-codeword.
 """
 
@@ -48,7 +48,7 @@ from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from . import rll_suffix, vt_core
-from .errors import DecodingError, EncodingError, NotDecodableError
+from .errors import DecodingError, EncodingError
 from .rll_suffix import RllSuffixParams, from_digits, int_log_floor, to_digits
 
 Array = list[list[int]]
@@ -277,7 +277,7 @@ def decode(Y: Sequence[Sequence[int]], params: CodeParams) -> Array:
     codeword conditions before being returned.  Y is checked on entry,
     so a ValueError raised later means that a rebuilt entry is outside
     the alphabet; like every other failure, it is raised as
-    NotDecodableError.
+    DecodingError.
     """
     n, q = params.n, params.q
     work = [list(row) for row in check_array(Y, n - 1, n - 1, q)]
@@ -293,14 +293,14 @@ def decode(Y: Sequence[Sequence[int]], params: CodeParams) -> Array:
     try:
         v_result = rll_suffix.decode(reversed_last_column(work), last_column_params(params))
     except (DecodingError, ValueError) as exc:
-        raise NotDecodableError(f"cannot locate the deleted row: {exc}") from exc
+        raise DecodingError(f"cannot locate the deleted row: {exc}") from exc
     work.insert(n - v_result.position, _parity(map(sum, zip(*work)), q))
 
     if not column_restored:
         try:
             u_result = rll_suffix.decode(work[0], first_row_params(params))
         except (DecodingError, ValueError) as exc:
-            raise NotDecodableError(f"cannot locate the deleted column: {exc}") from exc
+            raise DecodingError(f"cannot locate the deleted column: {exc}") from exc
         for row, value in zip(work, _parity(map(sum, work), q)):
             row.insert(u_result.position - 1, value)
 
@@ -309,7 +309,7 @@ def decode(Y: Sequence[Sequence[int]], params: CodeParams) -> Array:
     except ValueError as exc:
         violation = str(exc)
     if violation is not None:
-        raise NotDecodableError(f"reconstructed array is not a codeword: {violation}")
+        raise DecodingError(f"reconstructed array is not a codeword: {violation}")
     return work
 
 

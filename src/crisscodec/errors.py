@@ -9,23 +9,6 @@ class DecodingError(CodecError):
     """A received word could not be decoded back to a codeword."""
 
 
-class NoCandidateError(DecodingError):
-    """No codeword is consistent with the received word."""
-
-
-class AmbiguousCodewordError(DecodingError):
-    """More than one codeword is consistent with the received word.
-
-    Cannot occur when the received word really is one deletion away
-    from a codeword; kept as a defensive signal for corrupted or
-    adversarial inputs.
-    """
-
-
-class NotDecodableError(DecodingError):
-    """Array decoding finished but the result is not a valid codeword."""
-
-
 class EncodingError(CodecError):
     """The encoder cannot encode at these parameters.
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from . import vt_core
-from .errors import EncodingError, NoCandidateError
+from .errors import DecodingError, EncodingError
 
 
 @dataclass(frozen=True)
@@ -120,10 +120,6 @@ def index_sets(n: int, q: int) -> IndexSets:
     Needs enough room for the three high positions and at least one
     data position, i.e. n >= t + 5 where t = floor(log_{q-1} n).
     """
-    if q < 3:
-        raise ValueError(f"alphabet size must be >= 3, got q={q}")
-    if n < 1:
-        raise ValueError(f"body length must be >= 1, got n={n}")
     t = int_log_floor(q - 1, n)
     power = tuple((q - 1) ** i for i in range(t + 1))
     power_set = set(power)
@@ -249,7 +245,7 @@ def decode(received: Sequence[int], params: RllSuffixParams) -> vt_core.Deletion
         )
     result = vt_core.decode_rll_deletion(received, params.q)
     if tuple(result.codeword[params.n :]) != params.b:
-        raise NoCandidateError(
+        raise DecodingError(
             f"the only consistent codeword does not end with the suffix {params.b}"
         )
     return result

@@ -15,12 +15,13 @@ and read the length from the word.  Positions in the public API are
 
 from __future__ import annotations
 
+import reprlib
 from itertools import count, islice, repeat
 from numbers import Integral
 from operator import mod, mul, ne, sub
 from typing import NamedTuple, Sequence
 
-from .errors import AmbiguousCodewordError, NoCandidateError
+from .errors import DecodingError
 
 _PLAIN_INT = frozenset({int})
 
@@ -42,14 +43,17 @@ def check_symbols(x: Sequence[int], q: int, name: str = "sequence") -> Sequence[
 
     A sequence of plain ints is returned as it is.  Other integer types
     (numpy integers, say) are coerced to int in a new list; bool is
-    rejected.  The error names the first bad entry.
+    rejected.  The error names the first bad entry and shows its value
+    shortened by reprlib, so an oversized value cannot flood the message.
     """
     if set(map(type, x)) <= _PLAIN_INT and min(x, default=0) >= 0 and max(x, default=0) < q:
         return x
     symbols = []
     for i, s in enumerate(x):
         if not isinstance(s, Integral) or isinstance(s, bool) or not 0 <= s < q:
-            raise ValueError(f"{name}[{i}] = {s!r} is outside the alphabet [0, {q})")
+            raise ValueError(
+                f"{name}[{i}] = {reprlib.repr(s)} is outside the alphabet [0, {q})"
+            )
         symbols.append(int(s))
     return symbols
 
@@ -105,9 +109,11 @@ def decode_rll_deletion(received: Sequence[int], q: int) -> DeletionDecode:
     differential y(w)_{p-1} = alpha + beta - q*delta wraps around q.
     For each (p, delta) the membership congruence then fixes beta modulo
     q*n, so at most one inserted symbol works: no per-symbol search is
-    needed.  Only run-length-limited candidates are kept.  Such a word
-    loses a symbol at exactly one position, so no candidate is found
-    twice and the insertion position p is the exact deletion position.
+    needed.  DVT_0 corrects one deletion, so its single-deletion balls
+    are disjoint and at most one codeword yields the received word; a
+    run-length-limited codeword loses a symbol at exactly one position,
+    so the first such candidate is the only one, and its insertion
+    position p is the exact deletion position.
     """
     n = len(received) + 1
     modulus = q * n
@@ -120,12 +126,12 @@ def decode_rll_deletion(received: Sequence[int], q: int) -> DeletionDecode:
     for p in range(n - 1, 0, -1):
         tail[p] = tail[p + 1] + z[p - 1]
 
-    # (position, word) pairs; the insertion in front forces its leading
-    # differential alpha.
-    found = []
+    # The insertion in front forces its leading differential alpha.
     alpha = (-syn - tail[1]) % modulus
     if alpha < q:
-        found.append((1, [(w[0] + alpha) % q] + w))
+        candidate = [(w[0] + alpha) % q] + w
+        if adjacent_distinct(candidate):
+            return DeletionDecode(candidate, 1)
 
     # Insertion at position p >= 2 splits the old differential z_{p-1}.
     for p in range(2, n + 1):
@@ -138,16 +144,11 @@ def decode_rll_deletion(received: Sequence[int], q: int) -> DeletionDecode:
             if not 0 <= alpha < q:
                 continue
             symbol = beta if p == n else (w[p - 1] + beta) % q
-            found.append((p, w[: p - 1] + [symbol] + w[p - 1 :]))
+            candidate = w[: p - 1] + [symbol] + w[p - 1 :]
+            if adjacent_distinct(candidate):
+                return DeletionDecode(candidate, p)
 
-    candidates = [DeletionDecode(cand, p) for p, cand in found if adjacent_distinct(cand)]
-    if not candidates:
-        raise NoCandidateError(
-            f"no run-length-limited codeword of DVT_0({n}; {q}) "
-            f"yields the received word by one deletion"
-        )
-    if len(candidates) > 1:
-        raise AmbiguousCodewordError(
-            f"{len(candidates)} distinct codewords match the received word"
-        )
-    return candidates[0]
+    raise DecodingError(
+        f"no run-length-limited codeword of DVT_0({n}; {q}) "
+        f"yields the received word by one deletion"
+    )

@@ -35,7 +35,7 @@ from conftest import (
 )
 from crisscodec import analysis, crisscross, fixtures, rll_suffix, vt_core
 from crisscodec.crisscross import CodeParams
-from crisscodec.errors import NoCandidateError
+from crisscodec.errors import DecodingError
 from crisscodec.rll_suffix import RllSuffixParams
 
 GOLDEN_PARAMS = CodeParams(9, 7)
@@ -179,7 +179,7 @@ def test_acc05_vt_oracle_agreement():
                 if rll:
                     assert vt_core.decode_rll_deletion(received, q) == (x, d)
                 else:
-                    with pytest.raises(NoCandidateError):
+                    with pytest.raises(DecodingError, match="^no run-length-limited codeword"):
                         vt_core.decode_rll_deletion(received, q)
                 decodes += 1
     elapsed = time.perf_counter() - start

@@ -122,6 +122,19 @@ class TestExitCodes:
         assert main(["decode", "--in", str(path)]) == 2
         assert "nested too deeply" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry", ["[" * 980 + "]" * 980, '"' + "x" * 5000 + '"'], ids=["nested", "long-string"]
+    )
+    def test_oversized_bad_entry_is_abbreviated(self, tmp_path, entry):
+        # In a process of its own: under pytest's deeper stack the nested
+        # entry would already overflow the JSON parser.
+        rows = [f"[{entry}" + ", 0" * 7 + "]"] + ["[" + ", ".join("0" * 8) + "]"] * 7
+        path = tmp_path / "oversized.json"
+        path.write_text(f'{{"kind": "received", "q": 7, "n": 9, "rows": [{", ".join(rows)}]}}')
+        proc = _run_python("-m", "crisscodec", "decode", "--in", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: row 1[0] = ") and len(proc.stderr) < 200, proc.stderr
+
     def test_bad_corrupt_index(self, capsys, array_path):
         rc = main(["corrupt", "--in", str(array_path), "--row", "0", "--col", "1"])
         assert rc == 2

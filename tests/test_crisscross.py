@@ -23,7 +23,7 @@ from conftest import (
 )
 from crisscodec import crisscross, fileio, rll_suffix, vt_core
 from crisscodec.crisscross import CodeParams
-from crisscodec.errors import DecodingError, EncodingError, NotDecodableError
+from crisscodec.errors import DecodingError, EncodingError
 from crisscodec.fixtures import SMALL_PAIR_FIRST, SMALL_PAIR_SECOND
 
 GOLDEN_PARAMS = CodeParams(9, 7)
@@ -319,13 +319,13 @@ class TestDecode:
             crisscross.decode(GOLDEN_RECEIVED_9_9, CodeParams(11, 3))
 
     def test_garbage_input_is_not_decodable(self):
-        with pytest.raises(NotDecodableError):
+        with pytest.raises(DecodingError, match="^cannot locate the deleted row: no run"):
             crisscross.decode([[1] * 8 for _ in range(8)], GOLDEN_PARAMS)
 
     def test_tampered_cell_is_not_decodable(self):
         Y = crisscross.corrupt(GOLDEN_ARRAY, 9, 9)
         Y[0][0] = (Y[0][0] + 1) % 7
-        with pytest.raises(NotDecodableError):
+        with pytest.raises(DecodingError, match="^cannot locate the deleted row: no run"):
             crisscross.decode(Y, GOLDEN_PARAMS)
 
     def test_smallest_dimension_has_empty_column_code(self):
@@ -361,6 +361,34 @@ class TestAdversarialDecode:
             return
         assert crisscross.first_violation(X, params) is None
         assert tuple(map(tuple, Y)) in deletion_ball(X)
+
+
+class TestAdversarialRecover:
+    """recover_data returns only a message whose encoding is its input."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_refuses_or_returns_the_message_of_the_input(self, data):
+        n, q = data.draw(st.sampled_from([(11, 3), (12, 5)]), label="(n, q)")
+        params = CodeParams(n, q)
+        total = crisscross.message_lengths(params).total
+        message = data.draw(
+            st.lists(st.integers(0, q - 1), min_size=total, max_size=total), label="message"
+        )
+        X = crisscross.encode(message, params)
+        # A rectangle of +a, -a, +a, -a keeps every row and column sum.
+        corners = st.tuples(*[st.integers(1, n - 2)] * 4, st.integers(1, q - 1))
+        r1, r2, c1, c2, a = data.draw(corners, label="rectangle")
+        for r, c, step in ((r1, c1, a), (r2, c2, a), (r1, c2, -a), (r2, c1, -a)):
+            X[r][c] = (X[r][c] + step) % q
+        cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, q - 1))
+        for r, c, s in data.draw(st.lists(cell, max_size=1), label="substitution"):
+            X[r][c] = s
+        try:
+            recovered = crisscross.recover_data(X, params)
+        except ValueError:
+            return
+        assert crisscross.encode(recovered, params) == X
 
 
 class TestInputBoundary:
@@ -466,7 +494,7 @@ class TestInputBoundary:
             crisscross, "_parity", lambda sums, q: [(v + 1) % q for v in real(sums, q)]
         )
         Y = crisscross.corrupt(GOLDEN_ARRAY, 5, 4)
-        with pytest.raises(NotDecodableError, match="^reconstructed array is not a codeword"):
+        with pytest.raises(DecodingError, match="^reconstructed array is not a codeword"):
             crisscross.decode(Y, GOLDEN_PARAMS)
 
     def test_parity_outside_the_alphabet_is_refused(self, monkeypatch):
@@ -478,9 +506,10 @@ class TestInputBoundary:
         monkeypatch.setattr(crisscross, "_parity", lambda sums, q: [-s for s in sums])
         with pytest.raises(EncodingError, match="parity entry is outside the alphabet"):
             crisscross.encode(GOLDEN_DATA, GOLDEN_PARAMS)
+        stage = "^(cannot locate the deleted (row|column)|reconstructed array is not a codeword): "
         finals = 0
         for Y in received:
-            with pytest.raises(NotDecodableError) as refused:
+            with pytest.raises(DecodingError, match=stage) as refused:
                 crisscross.decode(Y, GOLDEN_PARAMS)
             finals += str(refused.value).startswith("reconstructed array is not a codeword: row ")
         assert finals > 0

@@ -97,3 +97,18 @@ def test_every_module_reference_in_the_docs_resolves():
                     break
                 target = getattr(target, name)
     assert not stale, f"these references name nothing: {stale}"
+
+
+def test_every_error_class_is_raised():
+    """Each class of errors.py except the CodecError base is raised somewhere
+    in the package, so no error class is exported that callers never see."""
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    errors = ast.parse((SRC / "errors.py").read_text())
+    classes = [node.name for node in errors.body if isinstance(node, ast.ClassDef)]
+    never = [name for name in classes if name != "CodecError" and name not in raised]
+    assert not never, f"no raise statement in the package raises {never}"

@@ -17,7 +17,7 @@ from conftest import (
 )
 from crisscodec import rll_suffix, vt_core
 from crisscodec.crisscross import CodeParams, first_row_params
-from crisscodec.errors import EncodingError, NoCandidateError
+from crisscodec.errors import DecodingError, EncodingError
 from crisscodec.rll_suffix import RllSuffixParams
 
 GOLDEN_PARAMS = RllSuffixParams(7, 7, (0, 2))
@@ -55,6 +55,10 @@ class TestIndexSets:
             rll_suffix.index_sets(5, 3)  # cannot reserve three high positions
         with pytest.raises(ValueError):
             rll_suffix.index_sets(6, 3)  # no data positions left
+        with pytest.raises(ValueError, match="^base must be >= 2"):
+            rll_suffix.index_sets(7, 2)  # alphabet below 3
+        with pytest.raises(ValueError, match="^value must be >= 1"):
+            rll_suffix.index_sets(0, 3)  # empty body
 
     def test_partition_properties(self):
         for q in (3, 4, 5, 7, 11):
@@ -254,7 +258,7 @@ class TestDecode:
         other = RllSuffixParams(7, 7, (0, 1))
         x = rll_suffix.encode([0, 0], other)
         params = RllSuffixParams(7, 7, (0, 2))
-        with pytest.raises(NoCandidateError):
+        with pytest.raises(DecodingError, match="^the only consistent codeword does not end"):
             rll_suffix.decode(x[1:], params)
 
     def test_validates_input(self):

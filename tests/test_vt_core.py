@@ -17,7 +17,7 @@ from conftest import (
     syndrome_loop,
 )
 from crisscodec import vt_core
-from crisscodec.errors import NoCandidateError
+from crisscodec.errors import DecodingError
 
 
 class TestDiff:
@@ -117,7 +117,7 @@ class TestDeletionDecode:
     def test_no_candidate(self):
         # No word of DVT_0(3; 3) lies one deletion away from (1, 1).
         assert brute_deletion_candidates([1, 1], 3) == []
-        with pytest.raises(NoCandidateError):
+        with pytest.raises(DecodingError, match="^no run-length-limited codeword"):
             vt_core.decode_rll_deletion([1, 1], 3)
 
     def test_all_zero(self):
@@ -126,7 +126,7 @@ class TestDeletionDecode:
         for q in (3, 4, 5):
             for n in range(2, 9):
                 assert brute_deletion_candidates([0] * (n - 1), q) == [[0] * n]
-                with pytest.raises(NoCandidateError):
+                with pytest.raises(DecodingError, match="^no run-length-limited codeword"):
                     vt_core.decode_rll_deletion([0] * (n - 1), q)
 
     def test_validates_input(self):
@@ -150,7 +150,7 @@ class TestDeletionDecode:
             assert len(found) <= 1, "single-deletion balls must be disjoint"
             expected = [x for x in found if adjacent_distinct_loop(x)]
             if not expected:
-                with pytest.raises(NoCandidateError):
+                with pytest.raises(DecodingError, match="^no run-length-limited codeword"):
                     vt_core.decode_rll_deletion(received, q)
                 continue
             x = expected[0]
@@ -182,5 +182,5 @@ class TestRllDeletionDecode:
     def test_rejects_non_rll_codeword_ball(self):
         # (0, 0, 0, 0) is the only codeword over this ball, but it is not
         # run-length limited, so the RLL decoder reports no candidate.
-        with pytest.raises(NoCandidateError):
+        with pytest.raises(DecodingError, match="^no run-length-limited codeword"):
             vt_core.decode_rll_deletion([0, 0, 0], 3)
