@@ -11,20 +11,23 @@ columns, each from a DP over syndrome residues, times
 q^crisscross.free_cells(n) for the free interior cells (the marker and
 parity cells are then forced).
 CodeSize.redundancy is the code redundancy n^2 - floor(log_q |C|) that
-the paper bounds.  The DP is plain Python and needs no numpy; it
-refuses work beyond WORK_GUARD = 10^8 inner steps.
+the paper bounds.  The DP keeps its qn residue counts packed side by
+side in one int, in fields wide enough that they never carry into each
+other, so a step of the DP is a few big-int shifts and adds (derived
+in protected_row_count).  It is plain Python, needs no numpy, and
+refuses work beyond WORK_GUARD = 2 * 10^10 bit operations; at
+q = n + 1 that admits n <= 133.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, fields
-from operator import add
 
 from . import crisscross, rll_suffix, vt_core
 from .crisscross import CodeParams
 
-WORK_GUARD = 10**8
+WORK_GUARD = 2 * 10**10
 
 
 @dataclass(frozen=True)
@@ -99,28 +102,62 @@ def protected_row_count(n: int, q: int, suffix: tuple[int, ...]) -> int:
     symbols and ends with `suffix`.  In the differential word y = diff(x)
     the suffix fixes y_(n-m+1), ..., y_n, and the word is a free choice
     of y_1, ..., y_(n-m), each in {1, ..., q-1}: a nonzero differential
-    is exactly the RLL property.  A DP over the qn syndrome residues,
-    one free position at a time, counts the choices whose syndrome
-    sum(i * y_i) is 0 mod qn.  Refuses more than WORK_GUARD inner steps.
+    is exactly the RLL property.  With s0 the syndrome sum(i * y_i) of
+    the suffix alone, the coefficient of x^r in
+
+        x^s0 * prod_(i=1..n-m) (x^i + x^(2i) + ... + x^((q-1)i))  mod x^(qn) - 1
+
+    counts the choices whose syndrome is r mod qn; the answer is the
+    coefficient of x^0.
+
+    The qn coefficients are packed into one int, x^r in the `width` bits
+    at bit offset r * width, so multiplying by x^k is a left shift by
+    k * width.  No coefficient ever exceeds the (q-1)^(n-m) choices in
+    all, so width = bit_length((q-1)^(n-m)) keeps every sum inside its
+    field: shifts and adds never carry from one field into the next.
+    Factor i is x^i * (1 + x^i + ... + x^((q-2)i)).  With P the product
+    so far times x^i and S_t = P * (1 + x^i + ... + x^((t-1)i)), the
+    doubling S_2t = S_t + x^(ti) * S_t and S_(2t+1) = P + x^i * S_2t,
+    one shift and one add each, walks the bits of q - 1 from the top
+    and reaches S_(q-1) in under 2 * bitlen(q-1) shift-adds.  Before a
+    factor every degree is below qn, and the factor adds at most
+    (q-1)(n-1) < qn, so one fold, the low qn fields plus the rest
+    shifted down, reduces mod x^(qn) - 1.
+
+    A free position costs under 2 * bitlen(q-1) shift-adds over at
+    most 2qn fields, and width is at most (n-m) * bitlen(q-1) bits, so
+    the whole DP costs on the order of ((n-m) * bitlen(q-1))^2 * qn bit
+    operations.  That estimate is checked against WORK_GUARD before any
+    int is built.
     """
     m = len(suffix)
     if not 0 < m <= n:
         raise ValueError(f"the suffix must have 1 to n = {n} symbols, got {m}")
+    free = n - m
     modulus = q * n
-    steps = (n - m) * (q - 1) * modulus
-    if steps > WORK_GUARD:
-        raise ValueError(f"{steps} DP steps exceed the work guard {WORK_GUARD}")
+    work = (free * (q - 1).bit_length()) ** 2 * modulus
+    if work > WORK_GUARD:
+        raise ValueError(f"{work} bit operations exceed the work guard {WORK_GUARD}")
     fixed = vt_core.diff(vt_core.check_symbols(suffix, q, "suffix"), q)
     if 0 in fixed[:-1]:
         return 0
-    counts = [0] * modulus  # counts[r]: choices so far whose syndrome is r mod qn
-    counts[vt_core.syndrome([0] * (n - m) + fixed) % modulus] = 1
-    for i in range(1, n - m + 1):
-        grown = [0] * modulus
-        for shift in range(i, i * q, i):  # y_i = shift / i
-            grown = list(map(add, grown, counts[-shift:] + counts[:-shift]))
-        counts = grown
-    return counts[0]
+    width = ((q - 1) ** free).bit_length()
+    span = modulus * width
+    low_fields = (1 << span) - 1
+    doublings = bin(q - 1)[3:]  # the bits of q - 1 below the leading 1
+    counts = 1 << (vt_core.syndrome([0] * free + fixed) % modulus) * width
+    for i in range(1, free + 1):
+        step = i * width
+        start = counts = counts << step
+        terms = 1
+        for bit in doublings:
+            counts += counts << terms * step
+            terms *= 2
+            if bit == "1":
+                counts = start + (counts << step)
+                terms += 1
+        counts = (counts & low_fields) + (counts >> span)
+    return counts & ((1 << width) - 1)
 
 
 def count_code_size(n: int, q: int, mode: str = "formula") -> CodeSize:

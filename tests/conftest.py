@@ -8,13 +8,16 @@ are observed through the rll_decode_calls spy.  The oracles re-derive codec
 answers by definition-level brute force -- trying every insertion,
 every row and column deletion, or enumerating whole alphabets -- on
 index loops such as diff_loop, syndrome_loop and adjacent_distinct_loop,
-so they share no code with the optimized paths they check.
+so they share no code with the optimized paths they check.  Counts too
+large to enumerate are checked against protected_row_count_dp, a DP
+over a plain list of residue counts.
 """
 
 from __future__ import annotations
 
 import itertools
 import tempfile
+from operator import add
 
 import numpy as np
 import pytest
@@ -179,6 +182,47 @@ def enumerate_protected_words(n: int, q: int, suffix: tuple[int, ...]) -> list[l
         if syndrome_loop(diff_loop(x, q)) % (q * n) == 0:
             out.append(x)
     return out
+
+
+def protected_row_count_dp(n: int, q: int, suffix: tuple[int, ...]) -> int:
+    """Rotate-and-add oracle for analysis.protected_row_count.
+
+    counts[r] is the number of choices of the free differentials so far
+    whose syndrome is r mod qn.  Free position i takes y_i in 1..q-1,
+    which adds y_i * i to the syndrome: the sum over y_i of the list
+    rotated by y_i * i.  O(q^2 n) list additions per position.
+    """
+    m = len(suffix)
+    fixed = diff_loop(suffix, q)
+    if 0 in fixed[:-1]:
+        return 0
+    modulus = q * n
+    counts = [0] * modulus
+    counts[syndrome_loop([0] * (n - m) + fixed) % modulus] = 1
+    for i in range(1, n - m + 1):
+        grown = [0] * modulus
+        for shift in range(i, i * q, i):
+            grown = list(map(add, grown, counts[-shift:] + counts[:-shift]))
+        counts = grown
+    return counts[0]
+
+
+def protected_whole_word(n: int, q: int) -> tuple[int, ...]:
+    """A length-n word of DVT_0(n; q) with no two equal adjacent symbols.
+
+    Its differential starts as n - 1 ones and y_n = 0.  The deficit d
+    that brings the syndrome to 0 mod qn is below qn, so y_n = d // n
+    is a symbol and one more at position d % n < n covers the rest.
+    """
+    y = [1] * (n - 1) + [0]
+    deficit = -syndrome_loop(y) % (q * n)
+    y[-1] = deficit // n
+    if deficit % n:
+        y[deficit % n - 1] += 1
+    x = [y[-1]]
+    for step in reversed(y[:-1]):
+        x.insert(0, (x[0] + step) % q)
+    return tuple(x)
 
 
 def deletion_ball(X) -> set[tuple[tuple[int, ...], ...]]:

@@ -7,8 +7,13 @@ import math
 
 import pytest
 
-from conftest import count_arrays_bruteforce, enumerate_protected_words
-from crisscodec import analysis, rll_suffix
+from conftest import (
+    count_arrays_bruteforce,
+    enumerate_protected_words,
+    protected_row_count_dp,
+    protected_whole_word,
+)
+from crisscodec import analysis, crisscross, rll_suffix
 from crisscodec.errors import EncodingError
 
 
@@ -97,10 +102,32 @@ class TestProtectedRowCount:
         expected = enumerate_protected_words(n, q, suffix)
         assert analysis.protected_row_count(n, q, suffix) == len(expected)
 
+    def test_agrees_with_rotate_and_add_oracle(self):
+        # Both layout suffixes, a whole protected word (no free position)
+        # and a suffix that repeats a symbol, on every n in [4, 24].
+        repeating = (2, 1, 1)
+        for n in range(4, 25):
+            for q in sorted({3, 4, 5, 7, 11, n + 1}):
+                params = crisscross.CodeParams(n, q)
+                whole = protected_whole_word(n, q)
+                cases = [
+                    crisscross.first_row_params(params).b,
+                    crisscross.last_column_params(params).b,
+                    whole,
+                    repeating,
+                ]
+                for suffix in cases:
+                    expected = protected_row_count_dp(n, q, suffix)
+                    got = analysis.protected_row_count(n, q, suffix)
+                    assert got == expected, (n, q, suffix)
+                assert protected_row_count_dp(n, q, whole) == 1, (n, q)
+                assert protected_row_count_dp(n, q, repeating) == 0, (n, q)
+
     def test_guard(self):
-        # (126 free positions) x (128 values) x (128 * 129 residues) > 10^8
+        # The first refused q = n + 1 point:
+        # (132 free positions x 8 bits)^2 x (134 * 135 residues) > 2 * 10^10
         with pytest.raises(ValueError, match="work guard"):
-            analysis.protected_row_count(128, 129, (0, 2))
+            analysis.protected_row_count(134, 135, (0, 2))
 
     def test_bad_suffix(self):
         with pytest.raises(ValueError, match="suffix"):
@@ -163,7 +190,8 @@ class TestCodeSize:
         assert count_arrays_bruteforce(4, 3, u_rows, v_rows) == 9 * 3 * 3**2
 
     def test_bruteforce_guard(self):
-        # Refused before the DP allocates its qn = 10^10 residue counts.
+        # Refused from n, m and q alone, before the DP builds its int of
+        # qn = 10^10 fields.
         with pytest.raises(ValueError, match="work guard"):
             analysis.count_code_size(100_000, 100_000)
 

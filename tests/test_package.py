@@ -1,4 +1,5 @@
-"""Package import surface, no public name that only the tests call, no stale doc reference."""
+"""Package import surface, no public name that only the tests call, no stale doc
+reference, and a test configuration that reports a failing Hypothesis test."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import crisscodec
 SRC = Path(crisscodec.__file__).resolve().parent
 PERFBENCH = SRC.parents[1] / "perfbench"
 README = SRC.parents[1] / "README.md"
+PYPROJECT = SRC.parents[1] / "pyproject.toml"
 
 
 def test_importing_the_codec_does_not_load_numpy():
@@ -112,3 +114,31 @@ def test_every_error_class_is_raised():
     classes = [node.name for node in errors.body if isinstance(node, ast.ClassDef)]
     never = [name for name in classes if name != "CodecError" and name not in raised]
     assert not never, f"no raise statement in the package raises {never}"
+
+
+def test_a_failing_hypothesis_test_does_not_end_the_run(tmp_path):
+    # On a falsified example Hypothesis imports libcst, which warns that
+    # mypy_extensions.TypedDict is deprecated.  Turned into an error inside
+    # the plugin's report hook, that warning ends the session with an
+    # INTERNALERROR before any later test runs.
+    (tmp_path / "test_falsified.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n"
+        "\n"
+        "@settings(database=None)\n"
+        "@given(st.integers())\n"
+        "def test_falsified(x):\n"
+        "    assert x < 10\n"
+        "\n"
+        "def test_later():\n"
+        "    pass\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+        + ["-c", str(PYPROJECT), "--rootdir", str(tmp_path), str(tmp_path)],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout[-2000:]
