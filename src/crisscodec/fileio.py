@@ -91,7 +91,11 @@ def loads(text: str) -> ArrayFile:
 
 
 def dumps(f: ArrayFile) -> str:
-    """Canonical JSON text of one codec file."""
+    """Canonical JSON text of one codec file.
+
+    ArrayFile holds plain ints only, so the repr of a list of them is
+    its JSON text.
+    """
     lines = [
         "{",
         f'  "kind": "{f.kind}",',
@@ -100,10 +104,10 @@ def dumps(f: ArrayFile) -> str:
     ]
     if f.kind == "data":
         assert f.symbols is not None
-        lines.append(f'  "symbols": [{", ".join(map(str, f.symbols))}]')
+        lines.append(f'  "symbols": {list(f.symbols)}')
     else:
         assert f.rows is not None
-        body = ",\n".join(f"    [{', '.join(map(str, row))}]" for row in f.rows)
+        body = ",\n".join(f"    {list(row)}" for row in f.rows)
         lines.append('  "rows": [')
         lines.append(body)
         lines.append("  ]")

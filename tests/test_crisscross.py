@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,17 @@ class TestMessageLengths:
         # and at n = 8, q = 3 the protected row has no free symbols.
         with pytest.raises(ValueError, match="no data room"):
             crisscross.message_lengths(CodeParams(8, 3))
+
+    def test_refused_point_encodes_every_message(self):
+        # The gate certifies all q(n+m) syndrome residues, but at (10, 3)
+        # each protected code carries one base-2 digit, and both of its
+        # values encode under both codes: the refusal is conservative.
+        params = CodeParams(10, 3)
+        for code in (crisscross.first_row_params(params), crisscross.last_column_params(params)):
+            assert rll_suffix.data_length(code.n, code.q) == 1
+            for digit in (0, 1):
+                x = rll_suffix.encode([digit], code)
+                assert rll_suffix.recover_data(x, code) == [digit]
 
     def test_certified_range(self):
         # Every point of the paper's range n >= 11 is certified ...
@@ -148,6 +160,26 @@ class TestMembership:
         assert crisscross.first_violation(X, GOLDEN_PARAMS) == (
             "condition 5: column 2 does not sum to 0 (mod q)"
         )
+
+    @pytest.mark.parametrize("n, q", [(11, 3), (12, 5)])
+    def test_every_checked_column_sum(self, n, q):
+        # +a in column j and -a in column 1 of row 6 keep every row sum and
+        # break only column j's, since column 1 is not checked; j = n - 1
+        # is the column next to the protected last one.
+        params = CodeParams(n, q)
+        rng = random.Random(f"column-sum:{n}:{q}")
+        X = crisscross.encode(
+            [rng.randrange(q) for _ in range(crisscross.message_lengths(params).total)], params
+        )
+        for j in range(2, n):
+            for a in (1, q - 1):
+                Y = [list(r) for r in X]
+                Y[5][j - 1] = (Y[5][j - 1] + a) % q
+                Y[5][0] = (Y[5][0] - a) % q
+                expected = f"condition 5: column {j} does not sum to 0 (mod q)"
+                assert crisscross.first_violation(Y, params) == expected
+                with pytest.raises(ValueError, match=re.escape(expected)):
+                    crisscross.recover_data(Y, params)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -535,6 +567,28 @@ class TestRecoverData:
         assert crisscross.first_violation(X, GOLDEN_PARAMS) is None
         with pytest.raises(ValueError, match="encoder image"):
             crisscross.recover_data(X, GOLDEN_PARAMS)
+
+    @pytest.mark.parametrize("n, q", [(9, 7), (11, 3), (12, 5), (16, 257)])
+    def test_encoder_image_ends_below_q_to_the_k3(self, n, q):
+        # Protected digits packing to q^k3 - 1 carry the largest k3-symbol
+        # prefix; packing to exactly q^k3 is the first value encode never writes.
+        params = CodeParams(n, q)
+        k1, k2, k3, _ = crisscross.message_lengths(params)
+        cells = [c % q for c in range(crisscross.free_cells(n))]
+
+        def codeword_packing(packed):
+            digits = rll_suffix.to_digits(packed, q - 1, k1 + k2)
+            u = rll_suffix.encode(digits[:k1], crisscross.first_row_params(params))
+            v = rll_suffix.encode(digits[k1:], crisscross.last_column_params(params))
+            X = crisscross._assemble(u, v, cells, params)
+            assert crisscross.first_violation(X, params) is None
+            return X
+
+        assert crisscross.recover_data(codeword_packing(q**k3 - 1), params) == [q - 1] * k3 + cells
+        with pytest.raises(
+            ValueError, match="^protected row/column carry a value outside the encoder image$"
+        ):
+            crisscross.recover_data(codeword_packing(q**k3), params)
 
 
 class TestSmallCodeSweep:

@@ -5,7 +5,10 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GOLDEN_ARRAY, GOLDEN_DATA, GOLDEN_RECEIVED_9_9
 from crisscodec import crisscross, fileio
@@ -14,6 +17,38 @@ from crisscodec.fileio import ArrayFile
 ARRAY = ArrayFile(kind="array", q=7, n=9, rows=GOLDEN_ARRAY)
 RECEIVED = ArrayFile(kind="received", q=7, n=9, rows=GOLDEN_RECEIVED_9_9)
 DATA = ArrayFile(kind="data", q=7, n=9, symbols=GOLDEN_DATA)
+
+
+def dumps_reference(f: ArrayFile) -> str:
+    """The canonical text built symbol by symbol with str, as fileio.dumps once did."""
+    lines = ["{", f'  "kind": "{f.kind}",', f'  "q": {f.q},', f'  "n": {f.n},']
+    if f.kind == "data":
+        lines.append(f'  "symbols": [{", ".join(map(str, f.symbols))}]')
+    else:
+        body = ",\n".join(f"    [{', '.join(map(str, row))}]" for row in f.rows)
+        lines += ['  "rows": [', body, "  ]"]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def random_file(rng: random.Random, kind: str, n: int, q: int) -> ArrayFile:
+    if kind == "data":
+        return ArrayFile(kind, q, n, symbols=[rng.randrange(q) for _ in range(rng.randrange(2 * n))])
+    dim = n if kind == "array" else n - 1
+    return ArrayFile(kind, q, n, rows=[[rng.randrange(q) for _ in range(dim)] for _ in range(dim)])
+
+
+@st.composite
+def array_files(draw) -> ArrayFile:
+    kind = draw(st.sampled_from(fileio.KINDS))
+    n = draw(st.integers(2, 8))
+    q = draw(st.one_of(st.integers(2, 10), st.just(2**31 - 1), st.integers(2, 2**64)))
+    symbol = st.integers(0, q - 1)
+    if kind == "data":
+        return ArrayFile(kind, q, n, symbols=draw(st.lists(symbol, max_size=3 * n)))
+    dim = n if kind == "array" else n - 1
+    row = st.lists(symbol, min_size=dim, max_size=dim)
+    return ArrayFile(kind, q, n, rows=draw(st.lists(row, min_size=dim, max_size=dim)))
 
 
 class TestCanonicalForm:
@@ -56,6 +91,48 @@ class TestCanonicalForm:
     @pytest.mark.parametrize("f", [ARRAY, RECEIVED, DATA], ids=lambda f: f.kind)
     def test_serialize_then_parse_is_identity(self, f):
         assert fileio.loads(fileio.dumps(f)) == f
+
+    def test_matches_the_str_join_reference(self):
+        rng = random.Random("fileio-dumps-reference")
+        for kind in fileio.KINDS:
+            for n in (2, 3, 9, 64):
+                for q in (2, 3, 7, 257, 2**31 - 1):
+                    for _ in range(3):
+                        f = random_file(rng, kind, n, q)
+                        assert fileio.dumps(f) == dumps_reference(f)
+        # numpy integers are stored as plain ints, whose repr is their JSON text.
+        numpy_array = ArrayFile("array", 7, 9, rows=np.array(GOLDEN_ARRAY))
+        numpy_data = ArrayFile("data", 7, 9, symbols=np.array(GOLDEN_DATA, dtype=np.uint16))
+        for f in (ARRAY, RECEIVED, DATA, ArrayFile("data", 3, 2, symbols=[]), numpy_array, numpy_data):
+            assert fileio.dumps(f) == dumps_reference(f)
+        assert fileio.dumps(numpy_array) == fileio.dumps(ARRAY)
+        assert fileio.dumps(numpy_data) == fileio.dumps(DATA)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(array_files())
+    def test_loads_inverts_dumps(self, f):
+        assert fileio.loads(fileio.dumps(f)) == f
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(array_files(), st.data())
+    def test_edited_text_is_refused_or_read_as_written(self, f, data):
+        # One character of the canonical text deleted, replaced or inserted:
+        # loads either refuses with ValueError or returns a file that holds
+        # exactly the JSON value of the edited text, nothing coerced.
+        text = fileio.dumps(f)
+        at = data.draw(st.integers(0, len(text)))
+        char = data.draw(st.sampled_from('0123456789-+.eE[]{},:" \ntrufalsnkidyowbq'))
+        edit = data.draw(st.sampled_from(("delete", "replace", "insert")))
+        if edit == "insert":
+            text = text[:at] + char + text[at:]
+        else:
+            text = text[:at] + (char if edit == "replace" else "") + text[at + 1 :]
+        try:
+            g = fileio.loads(text)
+        except ValueError:
+            return
+        # Re-dumped with json, which writes 1, 1.0 and true apart.
+        assert json.dumps(json.loads(fileio.dumps(g)), sort_keys=True) == json.dumps(json.loads(text), sort_keys=True)
 
     def test_non_canonical_spacing_parses_to_same_value(self):
         text = '{"n": 2, "rows": [[0,1],[2,0]], "q": 3, "kind": "array"}'
