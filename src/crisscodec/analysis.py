@@ -3,8 +3,9 @@
 Redundancy rows report, per (n, q), the component message lengths, the
 encoder redundancy n^2 - total (in q-ary symbols; that is, 4n - 2 - k3)
 and the theoretical lower/upper bounds it must sit between.  Floats
-appear only here, in reporting; everything the codec itself computes
-stays in exact ints.
+appear only here, in reporting, and in rll_suffix.int_log_floor, whose
+float estimate exact int powers correct; everything the codec itself
+computes stays in exact ints.
 
 Code sizes are exact: the counts of protected first rows and last
 columns, each from a DP over syndrome residues, times
@@ -175,8 +176,7 @@ def count_code_size(n: int, q: int, mode: str = "formula") -> CodeSize:
     rows = u_count * v_count
     free = crisscross.free_cells(n)
     size = rows * q**free
-    # floor(log_q size) = free + floor(log_q rows).  int_log_floor on size
-    # itself multiplies more than free times by numbers as long as size:
-    # 0.5 s at (400, 3), growing like n^4.
+    # floor(log_q size) = free + floor(log_q rows), a logarithm of a far
+    # smaller int than size.
     redundancy = n * n - free - rll_suffix.int_log_floor(q, rows) if rows else None
     return CodeSize(n, q, u_count, v_count, size, redundancy)

@@ -9,12 +9,12 @@ A codeword is an n x n array X over {0, ..., q-1} such that
   4. every row except the first sums to 0 (mod q), and
   5. every column except the first and last sums to 0 (mod q).
 
-Conditions 1, 4 and 5 force *every* row and column to sum to 0 (mod q),
-so a deleted row or column can be rebuilt from parity once its position
-is known; the protected first row and last column pin those positions
-down.  The corner entries fixed by conditions 1-3 let the decoder tell
-from the received array alone whether the deleted column was the last
-one.
+Conditions 1, 4 and 5 force *every* row and column to sum to 0 (mod q).
+The decoder therefore works in two steps: `_locate` pins down the
+deleted row and column through the protected last column and first row,
+and parity then rebuilds them.  The corner entries fixed by conditions
+1-3 let `_locate` tell from the received array alone whether the deleted
+column was the last one.
 
 Arrays are lists of row lists; positions are 1-based in the public API.
 
@@ -266,44 +266,59 @@ def encode(data: Sequence[int], params: CodeParams) -> Array:
     return X
 
 
+def _locate(work: Sequence[Sequence[int]], params: CodeParams) -> tuple[int, int]:
+    """The deleted row i and column j, 1-based, of a checked (n-1) x (n-1) received array.
+
+    The markers of condition 3 make the corner pair (work[0][-1],
+    work[1][-1]) increase exactly when column n was deleted: it is then
+    one of (0, 1), (1, 2) and (0, 2), and otherwise one of (2, 1), (2, 0)
+    and (1, 0).  The reversed last column, restored from the row sums
+    when j = n, lost its entry at position n + 1 - i, and its 1-D decode
+    locates row i.  When j < n the first row, restored from the column
+    sums when i = 1, lost its entry at position j, and its 1-D decode
+    locates column j.  A refusal is a DecodingError that names the row
+    or column it could not locate.
+
+    So the path depends only on the corner pair, the reversed last
+    column (or the row sums when j = n), the first row (or the column
+    sums when i = 1) and (i, j).  Every row and column of a codeword
+    sums to 0 (mod q), so those sums give back exactly the deleted
+    entries, and a located (i, j) is rebuilt exactly by parity.  Any
+    protected first row and reversed last column complete to a
+    codeword.  Hence decode(corrupt(X, i, j)) == X for every codeword X
+    at (n, q) and every (i, j) if and only if rll_suffix.decode returns
+    position p for each protected reversed last column that lost its
+    entry at p, for p = 1..n, and for each protected first row that lost
+    its entry at p, for p = 1..n-1.
+    """
+    n, q = params.n, params.q
+    last_column_deleted = work[0][-1] < work[1][-1]
+    v = _parity(map(sum, reversed(work)), q) if last_column_deleted else reversed_last_column(work)
+    i = 0  # until the deleted row is located
+    try:
+        i = n + 1 - rll_suffix.decode(v, last_column_params(params)).position
+        if last_column_deleted:
+            return i, n
+        u = _parity(map(sum, zip(*work)), q) if i == 1 else work[0]
+        return i, rll_suffix.decode(u, first_row_params(params)).position
+    except (DecodingError, ValueError) as exc:
+        raise DecodingError(f"cannot locate the deleted {'column' if i else 'row'}: {exc}") from exc
+
+
 def decode(Y: Sequence[Sequence[int]], params: CodeParams) -> Array:
     """Rebuild the codeword from an (n-1) x (n-1) received array.
 
-    Steps: decide from the top right corner entries whether the last
-    column was the deleted one (restoring it from row parity if so),
-    locate the deleted row through the protected last column, rebuild it
-    from column parity, then do the same for the deleted column through
-    the protected first row.  The result is validated against the
-    codeword conditions before being returned.  Y is checked on entry,
-    so a ValueError raised later means that a rebuilt entry is outside
-    the alphabet; like every other failure, it is raised as
-    DecodingError.
+    Y is checked, _locate finds the deleted row i and column j, row i is
+    inserted from the column sums and column j from the row sums, and
+    the result is validated against the codeword conditions.  A
+    ValueError there means that a rebuilt entry is outside the alphabet;
+    like every other failure, it is raised as DecodingError.
     """
-    n, q = params.n, params.q
-    work = [list(row) for row in check_array(Y, n - 1, n - 1, q)]
-
-    # The fixed entries next to the top right corner make the pair
-    # (Y[1][n-1], Y[2][n-1]) increase exactly when the deleted column
-    # was the last one.
-    column_restored = work[0][-1] < work[1][-1]
-    if column_restored:
-        for row, value in zip(work, _parity(map(sum, work), q)):
-            row.append(value)
-
-    try:
-        v_result = rll_suffix.decode(reversed_last_column(work), last_column_params(params))
-    except (DecodingError, ValueError) as exc:
-        raise DecodingError(f"cannot locate the deleted row: {exc}") from exc
-    work.insert(n - v_result.position, _parity(map(sum, zip(*work)), q))
-
-    if not column_restored:
-        try:
-            u_result = rll_suffix.decode(work[0], first_row_params(params))
-        except (DecodingError, ValueError) as exc:
-            raise DecodingError(f"cannot locate the deleted column: {exc}") from exc
-        for row, value in zip(work, _parity(map(sum, work), q)):
-            row.insert(u_result.position - 1, value)
-
+    work = [list(row) for row in check_array(Y, params.n - 1, params.n - 1, params.q)]
+    i, j = _locate(work, params)
+    work.insert(i - 1, _parity(map(sum, zip(*work)), params.q))
+    for row, value in zip(work, _parity(map(sum, work), params.q)):
+        row.insert(j - 1, value)
     try:
         violation = first_violation(work, params)
     except ValueError as exc:

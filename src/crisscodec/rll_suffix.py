@@ -20,6 +20,7 @@ nonzero, which yields the 1-RLL property after inverting the transform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -76,16 +77,22 @@ class IndexSets(NamedTuple):
 
 
 def int_log_floor(base: int, value: int) -> int:
-    """Largest t >= 0 with base**t <= value, computed with exact ints."""
+    """Largest t >= 0 with base**t <= value, exact for ints of any size.
+
+    The float logarithm estimates t, and exact int powers correct the
+    estimate by the few steps that rounding can take it off, so the cost
+    is that of one power of base near value rather than t products.
+    """
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     if value < 1:
         raise ValueError(f"value must be >= 1, got {value}")
-    t = 0
-    power = base
-    while power <= value:
-        t += 1
-        power *= base
+    t = int(math.log(value, base))
+    power = base**t
+    while power > value:
+        t, power = t - 1, power // base
+    while power * base <= value:
+        t, power = t + 1, power * base
     return t
 
 

@@ -360,6 +360,29 @@ class TestDecode:
         with pytest.raises(DecodingError, match="^cannot locate the deleted row: no run"):
             crisscross.decode(Y, GOLDEN_PARAMS)
 
+    def test_tampered_first_row_refuses_at_the_column(self):
+        # Row 2 is located; the first row then has no consistent codeword.
+        Y = crisscross.corrupt(GOLDEN_ARRAY, 2, 1)
+        Y[0][0] += 1
+        with pytest.raises(DecodingError) as refused:
+            crisscross.decode(Y, GOLDEN_PARAMS)
+        assert str(refused.value) == (
+            "cannot locate the deleted column: no run-length-limited codeword "
+            "of DVT_0(9; 7) yields the received word by one deletion"
+        )
+
+    def test_equal_corner_pair_keeps_the_received_last_column(self):
+        # Only an increasing corner pair means that column n was deleted;
+        # an equal pair is decoded as received, and refused at the row.
+        Y = crisscross.corrupt(GOLDEN_ARRAY, 1, 3)
+        Y[0][-1] = Y[1][-1]
+        with pytest.raises(DecodingError) as refused:
+            crisscross.decode(Y, GOLDEN_PARAMS)
+        assert str(refused.value) == (
+            "cannot locate the deleted row: no run-length-limited codeword "
+            "of DVT_0(9; 7) yields the received word by one deletion"
+        )
+
     def test_smallest_dimension_has_empty_column_code(self):
         # At n = 4, q = 7 there is no valid protected column at all, so
         # every received array is rejected rather than mis-decoded.

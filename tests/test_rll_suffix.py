@@ -324,3 +324,22 @@ class TestDigits:
             rll_suffix.int_log_floor(1, 5)
         with pytest.raises(ValueError):
             rll_suffix.int_log_floor(2, 0)
+
+    @pytest.mark.parametrize("base", [*range(2, 61), 256, 257, 2**31 - 1])
+    def test_int_log_floor_matches_the_multiplying_loop(self, base):
+        def loop(value):
+            t, power = 0, base
+            while power <= value:
+                t, power = t + 1, power * base
+            return t
+
+        for t in [*range(40), 100, 1000]:
+            for value in (base**t - 1, base**t, base**t + 1):
+                if value >= 1:
+                    assert rll_suffix.int_log_floor(base, value) == loop(value), (t, value)
+
+    def test_int_log_floor_of_a_huge_power(self):
+        # The multiplying loop would take 189 278 products of ints up to 300 000 bits long.
+        t = rll_suffix.int_log_floor(3, 2**300_000)
+        assert t == 189_278
+        assert 3**t <= 2**300_000 < 3 ** (t + 1)
