@@ -168,7 +168,8 @@ def count_code_size(n: int, q: int, mode: str = "formula") -> CodeSize:
     column and q^free_cells(n) free interior cells; the marker and
     parity cells are then forced.  "formula" is the only mode.
     """
-    params = CodeParams(n, q)  # validates n >= 4, q >= 3
+    params = CodeParams(n, q)  # validates n >= 4, q >= 3 and makes both plain ints
+    n, q = params.n, params.q
     if mode != "formula":
         raise ValueError(f'mode must be "formula", got {mode!r}')
     u_count = protected_row_count(n, q, crisscross.first_row_params(params).b)

@@ -45,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from numbers import Integral
 from typing import Iterable, NamedTuple, Sequence
 
 from . import rll_suffix, vt_core
@@ -56,12 +57,22 @@ Array = list[list[int]]
 
 @dataclass(frozen=True)
 class CodeParams:
-    """Array dimension n and alphabet size q of one code instance."""
+    """Array dimension n and alphabet size q of one code instance.
+
+    n and q are stored as plain ints, so that a numpy-typed instance can
+    neither overflow nor leave numpy values in the layout caches.
+    """
 
     n: int
     q: int
 
     def __post_init__(self) -> None:
+        for name in ("n", "q"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                if isinstance(value, bool) or not isinstance(value, Integral):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
+                object.__setattr__(self, name, int(value))
         if self.n < 4:
             raise ValueError(f"array dimension must be >= 4, got n={self.n}")
         if self.q < 3:
@@ -200,10 +211,9 @@ def corrupt(X: Sequence[Sequence[int]], i: int, j: int) -> Array:
     n = len(X)
     if n < 2 or any(len(row) != n for row in X):
         raise ValueError("input must be a square array of dimension >= 2")
-    if not 1 <= i <= n:
-        raise ValueError(f"row index must lie in [1, {n}], got {i}")
-    if not 1 <= j <= n:
-        raise ValueError(f"column index must lie in [1, {n}], got {j}")
+    for name, index in (("row", i), ("column", j)):
+        if isinstance(index, bool) or not isinstance(index, Integral) or not 1 <= index <= n:
+            raise ValueError(f"{name} index must be an integer in [1, {n}], got {index!r}")
     return [
         list(row[: j - 1]) + list(row[j:])
         for r, row in enumerate(X)
@@ -266,40 +276,42 @@ def encode(data: Sequence[int], params: CodeParams) -> Array:
     return X
 
 
-def _locate(work: Sequence[Sequence[int]], params: CodeParams) -> tuple[int, int]:
+def _locate(work: Array, rows: list[int], cols: list[int], params: CodeParams) -> tuple[int, int]:
     """The deleted row i and column j, 1-based, of a checked (n-1) x (n-1) received array.
 
-    The markers of condition 3 make the corner pair (work[0][-1],
-    work[1][-1]) increase exactly when column n was deleted: it is then
-    one of (0, 1), (1, 2) and (0, 2), and otherwise one of (2, 1), (2, 0)
-    and (1, 0).  The reversed last column, restored from the row sums
-    when j = n, lost its entry at position n + 1 - i, and its 1-D decode
-    locates row i.  When j < n the first row, restored from the column
-    sums when i = 1, lost its entry at position j, and its 1-D decode
-    locates column j.  A refusal is a DecodingError that names the row
-    or column it could not locate.
+    rows and cols are the parity vectors of work: the entries that bring
+    each of its rows and each of its columns to 0 (mod q).  The markers
+    of condition 3 make the corner pair (work[0][-1], work[1][-1])
+    increase exactly when column n was deleted: it is then one of
+    (0, 1), (1, 2) and (0, 2), and otherwise one of (2, 1), (2, 0) and
+    (1, 0).  The reversed last column, restored as rows reversed when
+    j = n, lost its entry at position n + 1 - i, and its 1-D decode
+    locates row i.  When j < n the first row, restored as cols when
+    i = 1, lost its entry at position j, and its 1-D decode locates
+    column j.  A refusal is a DecodingError that names the row or column
+    it could not locate.
 
     So the path depends only on the corner pair, the reversed last
-    column (or the row sums when j = n), the first row (or the column
-    sums when i = 1) and (i, j).  Every row and column of a codeword
-    sums to 0 (mod q), so those sums give back exactly the deleted
-    entries, and a located (i, j) is rebuilt exactly by parity.  Any
-    protected first row and reversed last column complete to a
-    codeword.  Hence decode(corrupt(X, i, j)) == X for every codeword X
-    at (n, q) and every (i, j) if and only if rll_suffix.decode returns
-    position p for each protected reversed last column that lost its
-    entry at p, for p = 1..n, and for each protected first row that lost
-    its entry at p, for p = 1..n-1.
+    column (or the row sums, as rows, when j = n), the first row (or
+    the column sums, as cols, when i = 1) and (i, j).  Every
+    row and column of a codeword sums to 0 (mod q), so those sums give
+    back exactly the deleted entries, and a located (i, j) is rebuilt
+    exactly by parity.  Any protected first row and reversed last
+    column complete to a codeword.  Hence decode(corrupt(X, i, j)) == X
+    for every codeword X at (n, q) and every (i, j) if and only if
+    rll_suffix.decode returns position p for each protected reversed
+    last column that lost its entry at p, for p = 1..n, and for each
+    protected first row that lost its entry at p, for p = 1..n-1.
     """
-    n, q = params.n, params.q
+    n = params.n
     last_column_deleted = work[0][-1] < work[1][-1]
-    v = _parity(map(sum, reversed(work)), q) if last_column_deleted else reversed_last_column(work)
+    v = rows[::-1] if last_column_deleted else reversed_last_column(work)
     i = 0  # until the deleted row is located
     try:
         i = n + 1 - rll_suffix.decode(v, last_column_params(params)).position
         if last_column_deleted:
             return i, n
-        u = _parity(map(sum, zip(*work)), q) if i == 1 else work[0]
+        u = cols if i == 1 else work[0]
         return i, rll_suffix.decode(u, first_row_params(params)).position
     except (DecodingError, ValueError) as exc:
         raise DecodingError(f"cannot locate the deleted {'column' if i else 'row'}: {exc}") from exc
@@ -308,16 +320,23 @@ def _locate(work: Sequence[Sequence[int]], params: CodeParams) -> tuple[int, int
 def decode(Y: Sequence[Sequence[int]], params: CodeParams) -> Array:
     """Rebuild the codeword from an (n-1) x (n-1) received array.
 
-    Y is checked, _locate finds the deleted row i and column j, row i is
-    inserted from the column sums and column j from the row sums, and
-    the result is validated against the codeword conditions.  A
-    ValueError there means that a rebuilt entry is outside the alphabet;
-    like every other failure, it is raised as DecodingError.
+    Y is checked and its parity vectors rows and cols are computed once,
+    as _locate takes them.  Once _locate has found the deleted row i and
+    column j, row i is inserted as cols and column j as rows, with the
+    entry at (i, j), -sum(cols) mod q, inserted at position i.  Both
+    parity vectors sum to minus the total of Y (mod q), so that entry
+    brings row i and column j to 0 alike.  The result is validated
+    against the codeword conditions.  A ValueError there means that a
+    rebuilt entry is outside the alphabet; like every other failure, it
+    is raised as DecodingError.
     """
     work = [list(row) for row in check_array(Y, params.n - 1, params.n - 1, params.q)]
-    i, j = _locate(work, params)
-    work.insert(i - 1, _parity(map(sum, zip(*work)), params.q))
-    for row, value in zip(work, _parity(map(sum, work), params.q)):
+    rows = _parity(map(sum, work), params.q)
+    cols = _parity(map(sum, zip(*work)), params.q)
+    i, j = _locate(work, rows, cols, params)
+    rows.insert(i - 1, -sum(cols) % params.q)
+    work.insert(i - 1, cols)
+    for row, value in zip(work, rows):
         row.insert(j - 1, value)
     try:
         violation = first_violation(work, params)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 from typing import NamedTuple, Sequence
 
 from . import vt_core
@@ -34,7 +35,7 @@ class RllSuffixParams:
     """Parameters of RLL_DVT_0(n, m; b) over the alphabet {0, ..., q-1}.
 
     n is the free body length and b the fixed non-empty suffix, whose
-    length is m.
+    length is m.  n and q are stored as plain ints.
     """
 
     n: int
@@ -42,6 +43,12 @@ class RllSuffixParams:
     b: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for name in ("n", "q"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                if isinstance(value, bool) or not isinstance(value, Integral):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
+                object.__setattr__(self, name, int(value))
         if self.q < 3:
             raise ValueError(f"alphabet size must be >= 3, got q={self.q}")
         if self.n < 1:

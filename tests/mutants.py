@@ -66,6 +66,34 @@ MUTANTS = [
         "equivalent: alpha = q inserts a copy of w[0] in front, which the RLL test rejects",
     ),
     Mutant(
+        "vt-syndrome-from-zero",
+        "vt_core.py",
+        "return sum(map(mul, y, count(1)))",
+        "return sum(map(mul, y, count(0)))",
+        "killed",
+    ),
+    Mutant(
+        "vt-adjacent-skips-one",
+        "vt_core.py",
+        "return all(map(ne, x, islice(x, 1, None)))",
+        "return all(map(ne, x, islice(x, 2, None)))",
+        "killed",
+    ),
+    Mutant(
+        "vt-diff-without-mod",
+        "vt_core.py",
+        "y = list(map(mod, map(sub, x, islice(x, 1, None)), repeat(q)))",
+        "y = list(map(sub, x, islice(x, 1, None)))",
+        "killed",
+    ),
+    Mutant(
+        "check-symbols-no-int-coercion",
+        "vt_core.py",
+        "symbols.append(int(s))",
+        "symbols.append(s)",
+        "killed",
+    ),
+    Mutant(
         "rll-suffix-check-dropped",
         "rll_suffix.py",
         "if tuple(result.codeword[params.n :]) != params.b:",
@@ -94,6 +122,20 @@ MUTANTS = [
         "killed",
     ),
     Mutant(
+        "check-array-fast-path-accepts-bool",
+        "crisscross.py",
+        "if set(map(type, chain.from_iterable(X))) == {int}:",
+        "if set(map(type, chain.from_iterable(X))) <= {int, bool}:",
+        "killed",
+    ),
+    Mutant(
+        "check-array-fast-path-no-lower-bound",
+        "crisscross.py",
+        "if min(symbols) >= 0 and max(symbols) < q:",
+        "if max(symbols) < q:",
+        "killed",
+    ),
+    Mutant(
         "condition-5-skips-column-n-1",
         "crisscross.py",
         "if 0 < j < n - 1 and total % q != 0:",
@@ -117,8 +159,22 @@ MUTANTS = [
     Mutant(
         "locate-first-row-not-restored",
         "crisscross.py",
-        "u = _parity(map(sum, zip(*work)), q) if i == 1 else work[0]",
+        "u = cols if i == 1 else work[0]",
         "u = work[0]",
+        "killed",
+    ),
+    Mutant(
+        "locate-last-column-not-reversed",
+        "crisscross.py",
+        "v = rows[::-1] if last_column_deleted",
+        "v = rows if last_column_deleted",
+        "killed",
+    ),
+    Mutant(
+        "rebuild-corner-sign-flipped",
+        "crisscross.py",
+        "rows.insert(i - 1, -sum(cols) % params.q)",
+        "rows.insert(i - 1, sum(cols) % params.q)",
         "killed",
     ),
     Mutant(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -204,3 +205,6 @@ class TestCodeSize:
     def test_params_validated(self):
         with pytest.raises(ValueError):
             analysis.count_code_size(3, 3)
+        with pytest.raises(ValueError, match="must be an integer"):
+            analysis.count_code_size(12.0, 3)
+        assert analysis.count_code_size(np.int64(8), np.int64(5)) == analysis.count_code_size(8, 5)

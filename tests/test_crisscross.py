@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
+from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from conftest import (
 )
 from crisscodec import crisscross, fileio, rll_suffix, vt_core
 from crisscodec.crisscross import CodeParams
-from crisscodec.errors import DecodingError, EncodingError
+from crisscodec.errors import CodecError, DecodingError, EncodingError
 from crisscodec.fixtures import SMALL_PAIR_FIRST, SMALL_PAIR_SECOND
 
 GOLDEN_PARAMS = CodeParams(9, 7)
@@ -48,6 +51,19 @@ class TestParams:
         with pytest.raises(ValueError):
             CodeParams(9, 2)
         assert CodeParams(4, 3).n == 4
+
+    def test_integer_types_are_stored_as_plain_ints(self):
+        # int64 arithmetic would overflow (q-1)^(k1+k2) at (64, 257), and the
+        # layout caches would hand numpy-typed 1-D params to the equal plain key.
+        expected = (58, 57, 114, 3956)
+        params = CodeParams(np.int64(64), np.int64(257))
+        assert (type(params.n), type(params.q)) == (int, int)
+        assert crisscross.message_lengths(params) == expected
+        assert crisscross.message_lengths(CodeParams(64, 257)) == expected
+        assert type(crisscross.first_row_params(CodeParams(64, 257)).q) is int
+        for n, q in ((11.0, 3), (11, 3.0), (True, 3), (11, "3"), (None, 3)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                CodeParams(n, q)
 
 
 class TestMessageLengths:
@@ -229,6 +245,10 @@ class TestCorrupt:
             crisscross.corrupt([[1, 2], [3, 4]], 1, 3)
         with pytest.raises(ValueError):
             crisscross.corrupt([[1, 2, 3], [4, 5, 6]], 1, 1)  # not square
+        X = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+        for i, j in ((1.5, 2), (2, 1.5), (True, 2), (2, False), ("1", 2)):
+            with pytest.raises(ValueError, match="index must be an integer"):
+                crisscross.corrupt(X, i, j)
 
     def test_does_not_mutate_input(self):
         X = [[1, 2], [3, 4]]
@@ -311,6 +331,38 @@ class TestEncode:
             crisscross.encode([7] + [0] * 48, GOLDEN_PARAMS)
 
 
+def decode_corpus() -> list[tuple[list[list[int]], CodeParams]]:
+    """2 000 seeded received arrays: every deletion of the golden array and
+    of one (11, 3) codeword, each clean and with one substituted cell, then
+    random (11, 3) arrays."""
+    rng = random.Random(1817)
+
+    def substituted(Y, q):
+        Y = [list(row) for row in Y]
+        r, c = rng.randrange(len(Y)), rng.randrange(len(Y))
+        Y[r][c] = (Y[r][c] + rng.randrange(1, q)) % q
+        return Y
+
+    small = CodeParams(11, 3)
+    message = [rng.randrange(3) for _ in range(crisscross.message_lengths(small).total)]
+    corpus = []
+    for params, X in ((GOLDEN_PARAMS, GOLDEN_ARRAY), (small, crisscross.encode(message, small))):
+        for i, j in product(range(1, params.n + 1), repeat=2):
+            Y = crisscross.corrupt(X, i, j)
+            corpus += [(Y, params), (substituted(Y, params.q), params)]
+    while len(corpus) < 2000:
+        corpus.append(([[rng.randrange(3) for _ in range(10)] for _ in range(10)], small))
+    return corpus
+
+
+def decode_outcome(Y, params: CodeParams) -> str:
+    """The returned array, or the type and text of the exception."""
+    try:
+        return repr(crisscross.decode(Y, params))
+    except (CodecError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 class TestDecode:
     def test_golden_walkthrough(self, rll_decode_calls):
         X = crisscross.decode(GOLDEN_RECEIVED_9_9, GOLDEN_PARAMS)
@@ -343,6 +395,34 @@ class TestDecode:
         assert X == GOLDEN_ARRAY
         assert [position for _, position in rll_decode_calls] == [8, 4]  # row 2, column 4
         assert rll_decode_calls[1][0] == X[0][:3] + X[0][4:]
+
+    def test_each_decode_sums_the_received_array_once(self, monkeypatch):
+        # One row-parity and one column-parity vector of the 8 x 8 received
+        # array per call; _locate and the rebuild share them.
+        sizes = []
+        parity = crisscross._parity
+
+        def spy(sums, q):
+            sums = list(sums)
+            sizes.append(len(sums))
+            return parity(sums, q)
+
+        monkeypatch.setattr(crisscross, "_parity", spy)
+        for i, j in product(range(1, GOLDEN_PARAMS.n + 1), repeat=2):
+            Y = crisscross.corrupt(GOLDEN_ARRAY, i, j)
+            sizes.clear()
+            assert crisscross.decode(Y, GOLDEN_PARAMS) == GOLDEN_ARRAY
+            assert sizes == [8, 8], (i, j)
+
+    def test_outcomes_match_the_pinned_digest(self):
+        # A regression oracle for decoder refactors: the digest was taken
+        # from the decoder that summed the received array in _locate and
+        # again in the rebuild, and every outcome must stay byte-identical.
+        outcomes = [decode_outcome(Y, params) for Y, params in decode_corpus()]
+        kinds = Counter("array" if o.startswith("[") else o.split(":", 1)[0] for o in outcomes)
+        assert kinds == {"array": 326, "DecodingError": 1674}
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == "f84112c633c16009549491f1675dbc8c91933ba2456feefbd3cd6b6852398b13"
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -35,6 +35,10 @@ class TestParams:
             RllSuffixParams(7, 7, (2, 2))  # equal adjacent suffix symbols
         with pytest.raises(ValueError):
             RllSuffixParams(7, 7, (0, 7))  # symbol out of alphabet
+        for n, q in ((9.0, 3), (9, 3.0), (True, 3)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                RllSuffixParams(n, q, (0, 2))
+        assert RllSuffixParams(np.int64(9), np.int64(3), (0, 2)) == RllSuffixParams(9, 3, (0, 2))
         assert GOLDEN_PARAMS.m == 2
         assert GOLDEN_PARAMS.length == 9
 
