@@ -52,7 +52,9 @@ CSV_FIELDS = tuple(field.name for field in fields(AnalysisRow))
 
 def analysis_row(n: int, q: int) -> AnalysisRow:
     """Redundancy row at (n, q); bounds are floats, the rest exact ints."""
-    ml = crisscross.message_lengths(CodeParams(n, q))
+    params = CodeParams(n, q)  # validates n and q and makes both plain ints
+    n, q = params.n, params.q
+    ml = crisscross.message_lengths(params)
     redundancy = n * n - ml.total
     log_q = math.log(q)
     lower = 2 * n + 2 * math.log(n) / log_q - 3

@@ -1,5 +1,9 @@
 """Command line interface for the array codec.
 
+COMMANDS maps each subcommand to its handler, help text and arguments.
+A command builds only its own subcommand's parser; no argument, --help
+or an unknown name builds them all, so every command is still listed.
+
 Exit codes: 0 on success, 2 on validation problems (bad flags, malformed
 files, non-codeword inputs), 3 when decoding or a selftest property
 fails.
@@ -9,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import analysis, crisscross, fixtures, selftest
 from . import fileio
@@ -136,72 +140,83 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if report.ok else 3
 
 
-def build_parser() -> argparse.ArgumentParser:
+_OUT = ("--out", {"help": "output file (stdout when omitted)"})
+_N = ("--n", {"type": int, "required": True})
+_Q = ("--q", {"type": int, "required": True})
+
+
+def _in(what: str) -> tuple[str, dict]:
+    """The --in argument for an input file of the given kind."""
+    return ("--in", {"dest": "infile", "required": True, "help": f"input {what} file"})
+
+
+# name -> (handler, help text, (flag, add_argument options) per argument)
+COMMANDS = {
+    "encode": (cmd_encode, "encode a data file into a codeword array", (
+        ("--n", {"type": int, "required": True, "help": "array dimension"}),
+        ("--q", {"type": int, "required": True, "help": "alphabet size"}),
+        ("--data", {"required": True, "help": "input data file (kind 'data')"}),
+        _OUT,
+    )),
+    "corrupt": (cmd_corrupt, "delete one row and one column", (
+        _in("array"),
+        ("--row", {"type": int, "required": True, "help": "1-based row to delete"}),
+        ("--col", {"type": int, "required": True, "help": "1-based column to delete"}),
+        _OUT,
+    )),
+    "decode": (cmd_decode, "rebuild the codeword from a received array", (_in("received"), _OUT)),
+    "recover": (cmd_recover, "read the message back out of a codeword", (_in("array"), _OUT)),
+    "verify": (cmd_verify, "check an array against the codeword conditions", (_in("array"),)),
+    "analyze": (cmd_analyze, "tabulate redundancy against its bounds", (
+        ("--n-min", {"type": int, "required": True}),
+        ("--n-max", {"type": int, "required": True}),
+        ("--q", {"required": True, "help": "comma-separated alphabet sizes"}),
+        ("--format", {"choices": ("table", "csv"), "default": "table"}),
+        _OUT,
+    )),
+    "count": (cmd_count, "count the codewords of one code instance", (_N, _Q)),
+    "verify-fixtures": (
+        cmd_verify_fixtures, "re-check the embedded ambiguity fixture pairs", ()
+    ),
+    "selftest": (cmd_selftest, "run the randomized property suite", (
+        _N,
+        _Q,
+        ("--trials", {"type": int, "default": 10}),
+        ("--seed", {"type": int, "default": 0}),
+    )),
+}
+
+
+def build_parser(names: Iterable[str] = COMMANDS) -> argparse.ArgumentParser:
+    """The argument parser with a subparser for each of the named commands.
+
+    Its usage line lists every command in COMMANDS whichever are built,
+    so an error it reports reads the same as from the full parser.
+    """
     parser = argparse.ArgumentParser(
         prog="crisscodec",
         description="Encode, corrupt, decode and analyze arrays protected "
         "against one row deletion plus one column deletion.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("encode", help="encode a data file into a codeword array")
-    sub.add_argument("--n", type=int, required=True, help="array dimension")
-    sub.add_argument("--q", type=int, required=True, help="alphabet size")
-    sub.add_argument("--data", required=True, help="input data file (kind 'data')")
-    sub.add_argument("--out", help="output file (stdout when omitted)")
-    sub.set_defaults(handler=cmd_encode)
-
-    sub = subs.add_parser("corrupt", help="delete one row and one column")
-    sub.add_argument("--in", dest="infile", required=True, help="input array file")
-    sub.add_argument("--row", type=int, required=True, help="1-based row to delete")
-    sub.add_argument("--col", type=int, required=True, help="1-based column to delete")
-    sub.add_argument("--out", help="output file (stdout when omitted)")
-    sub.set_defaults(handler=cmd_corrupt)
-
-    sub = subs.add_parser("decode", help="rebuild the codeword from a received array")
-    sub.add_argument("--in", dest="infile", required=True, help="input received file")
-    sub.add_argument("--out", help="output file (stdout when omitted)")
-    sub.set_defaults(handler=cmd_decode)
-
-    sub = subs.add_parser("recover", help="read the message back out of a codeword")
-    sub.add_argument("--in", dest="infile", required=True, help="input array file")
-    sub.add_argument("--out", help="output file (stdout when omitted)")
-    sub.set_defaults(handler=cmd_recover)
-
-    sub = subs.add_parser("verify", help="check an array against the codeword conditions")
-    sub.add_argument("--in", dest="infile", required=True, help="input array file")
-    sub.set_defaults(handler=cmd_verify)
-
-    sub = subs.add_parser("analyze", help="tabulate redundancy against its bounds")
-    sub.add_argument("--n-min", type=int, required=True)
-    sub.add_argument("--n-max", type=int, required=True)
-    sub.add_argument("--q", required=True, help="comma-separated alphabet sizes")
-    sub.add_argument("--format", choices=("table", "csv"), default="table")
-    sub.add_argument("--out", help="output file (stdout when omitted)")
-    sub.set_defaults(handler=cmd_analyze)
-
-    sub = subs.add_parser("count", help="count the codewords of one code instance")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--q", type=int, required=True)
-    sub.set_defaults(handler=cmd_count)
-
-    sub = subs.add_parser(
-        "verify-fixtures", help="re-check the embedded ambiguity fixture pairs"
-    )
-    sub.set_defaults(handler=cmd_verify_fixtures)
-
-    sub = subs.add_parser("selftest", help="run the randomized property suite")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--trials", type=int, default=10)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.set_defaults(handler=cmd_selftest)
-
+    names = list(names)
+    # Left to itself argparse lists only the subparsers built.  It is left
+    # to itself when all are built, because its error for a missing or an
+    # unknown command then names the dest, "command", not the metavar.
+    metavar = None if names == list(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        handler, help_text, arguments = COMMANDS[name]
+        sub = subs.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            sub.add_argument(flag, **options)
+        sub.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+    parser = build_parser(names)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

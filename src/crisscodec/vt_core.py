@@ -46,8 +46,10 @@ def check_symbols(x: Sequence[int], q: int, name: str = "sequence") -> Sequence[
     rejected.  The error names the first bad entry and shows its value
     shortened by reprlib, so an oversized value cannot flood the message.
     """
-    if set(map(type, x)) <= _PLAIN_INT and min(x, default=0) >= 0 and max(x, default=0) < q:
-        return x
+    if set(map(type, x)) <= _PLAIN_INT:
+        values = set(x)
+        if not values or (min(values) >= 0 and max(values) < q):
+            return x
     symbols = []
     for i, s in enumerate(x):
         if not isinstance(s, Integral) or isinstance(s, bool) or not 0 <= s < q:

@@ -94,6 +94,13 @@ MUTANTS = [
         "killed",
     ),
     Mutant(
+        "check-symbols-fast-path-no-lower-bound",
+        "vt_core.py",
+        "if not values or (min(values) >= 0 and max(values) < q):",
+        "if not values or max(values) < q:",
+        "killed",
+    ),
+    Mutant(
         "rll-suffix-check-dropped",
         "rll_suffix.py",
         "if tuple(result.codeword[params.n :]) != params.b:",
@@ -217,6 +224,48 @@ MUTANTS = [
         "analysis.py",
         "width = ((q - 1) ** free).bit_length()",
         "width = ((q - 1) ** free).bit_length() - 1",
+        "killed",
+    ),
+    Mutant(
+        "dumps-no-trailing-newline",
+        "fileio.py",
+        'lines.append("}")\n    return "\\n".join(lines) + "\\n"',
+        'lines.append("}")\n    return "\\n".join(lines)',
+        "killed",
+    ),
+    Mutant(
+        "loads-accepts-extra-keys",
+        "fileio.py",
+        "if set(raw) != expected:",
+        "if not expected <= set(raw):",
+        "killed",
+    ),
+    Mutant(
+        "loads-rows-of-non-lists",
+        "fileio.py",
+        'if payload_key == "rows" and not all(isinstance(r, list) for r in payload):',
+        "if False:",
+        "killed",
+    ),
+    Mutant(
+        "cli-builds-every-command",
+        "cli.py",
+        "names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS",
+        "names = COMMANDS",
+        "killed",
+    ),
+    Mutant(
+        "cli-verify-runs-recover",
+        "cli.py",
+        '"verify": (cmd_verify,',
+        '"verify": (cmd_recover,',
+        "killed",
+    ),
+    Mutant(
+        "cli-usage-lists-only-built-commands",
+        "cli.py",
+        "required=True, metavar=metavar)",
+        "required=True)",
         "killed",
     ),
 ]

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -49,6 +51,12 @@ class TestAnalysisRow:
         for row in analysis.analyze_range(range(11, 25), [3, 4, 7, 101]):
             assert row.lower_bound - 1e-9 <= row.encoder_redundancy, (row.n, row.q)
             assert row.encoder_redundancy <= row.upper_bound + 1e-9, (row.n, row.q)
+
+    def test_numpy_integers_give_a_plain_row(self):
+        row = analysis.analysis_row(np.int64(64), np.int64(257))
+        plain = analysis.analysis_row(64, 257)
+        assert row == plain
+        assert json.dumps(asdict(row)) == json.dumps(asdict(plain))
 
     def test_gate_propagates(self):
         with pytest.raises(EncodingError, match="not certified"):

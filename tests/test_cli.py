@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -12,8 +13,8 @@ import pytest
 
 from conftest import GOLDEN_ARRAY, GOLDEN_DATA, GOLDEN_RECEIVED_9_9
 import crisscodec
-from crisscodec import crisscross, fileio
-from crisscodec.cli import main
+from crisscodec import cli, crisscross, fileio
+from crisscodec.cli import COMMANDS, main
 from crisscodec.fileio import ArrayFile
 
 DATA_FILE = ArrayFile("data", 7, 9, symbols=GOLDEN_DATA)
@@ -163,7 +164,50 @@ class TestExitCodes:
 
     def test_help_is_exit_0(self, capsys):
         assert main(["--help"]) == 0
-        assert "encode" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert len(COMMANDS) == 9
+        for name in COMMANDS:
+            assert f"\n    {name} " in out, name
+
+
+# Each command's help, its missing flags and an unknown flag, then the
+# argument lists that name no command.
+PARSER_CORPUS = (
+    [[name, "-h"] for name in COMMANDS]
+    + [[name] for name in COMMANDS]
+    + [[name, "--bogus"] for name in COMMANDS]
+    + [[], ["-h"], ["nope"], ["-h", "encode"]]
+)
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda argv: " ".join(argv) or "no-args")
+    def test_output_matches_the_full_parser(self, capsys, monkeypatch, argv):
+        def outcome():
+            code = main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        subset = outcome()
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda names: build_parser(COMMANDS))
+        assert subset == outcome()
+
+    def test_a_command_builds_only_its_own_subparser(self, monkeypatch, capsys, received_path):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["decode", "--in", str(received_path)]) == 0
+        assert built == ["crisscodec", "crisscodec decode"]
+        built.clear()
+        assert main(["--help"]) == 0
+        assert len(built) == 10
+        capsys.readouterr()
 
 
 class TestAnalyze:
