@@ -15,10 +15,11 @@ The package is layered bottom-up:
     format, redundancy and code-size analysis, embedded reference
     fixtures, the property suite and the command line front end.
 
-Importing the package loads only the codec (vt_core, rll_suffix,
-crisscross and errors); import the other modules by name, e.g.
-``from crisscodec import analysis``.  The package has no runtime
-dependency: no module, the cli included, needs numpy.
+Importing the package loads the codec alone (vt_core, rll_suffix,
+crisscross and errors), and neither inspect nor the data class module:
+its records are NamedTuples.  Import the other modules by name, e.g.
+``from crisscodec import analysis``.  No module, the cli included,
+needs numpy or any other runtime dependency.
 """
 
 from .crisscross import CodeParams, MessageLengths

@@ -23,7 +23,7 @@ q = n + 1 that admits n <= 133.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from typing import NamedTuple
 
 from . import crisscross, rll_suffix, vt_core
 from .crisscross import CodeParams
@@ -31,9 +31,8 @@ from .crisscross import CodeParams
 WORK_GUARD = 2 * 10**10
 
 
-@dataclass(frozen=True)
-class AnalysisRow:
-    """Redundancy figures of one (n, q) parameter point."""
+class AnalysisRow(NamedTuple):
+    """Redundancy figures of one (n, q) parameter point, a tuple in CSV column order."""
 
     n: int
     q: int
@@ -45,9 +44,6 @@ class AnalysisRow:
     lower_bound: float
     upper_bound: float
     gap: float
-
-
-CSV_FIELDS = tuple(field.name for field in fields(AnalysisRow))
 
 
 def analysis_row(n: int, q: int) -> AnalysisRow:
@@ -70,25 +66,24 @@ def analyze_range(n_values: range | list[int], q_values: list[int]) -> list[Anal
 
 
 def _row_cells(row: AnalysisRow) -> list[str]:
-    return [f"{value:.6f}" if isinstance(value, float) else str(value) for value in astuple(row)]
+    return [f"{value:.6f}" if isinstance(value, float) else str(value) for value in row]
 
 
 def to_csv(rows: list[AnalysisRow]) -> str:
-    lines = [",".join(CSV_FIELDS)]
+    lines = [",".join(AnalysisRow._fields)]
     lines.extend(",".join(_row_cells(row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def to_table(rows: list[AnalysisRow]) -> str:
-    cells = [list(CSV_FIELDS)] + [_row_cells(row) for row in rows]
-    widths = [max(len(line[c]) for line in cells) for c in range(len(CSV_FIELDS))]
+    cells = [list(AnalysisRow._fields)] + [_row_cells(row) for row in rows]
+    widths = [max(len(line[c]) for line in cells) for c in range(len(AnalysisRow._fields))]
     lines = ["  ".join(cell.rjust(w) for cell, w in zip(line, widths)) for line in cells]
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class CodeSize:
-    """Exact size of one code instance."""
+class CodeSize(NamedTuple):
+    """Exact size of one code instance, a tuple."""
 
     n: int
     q: int

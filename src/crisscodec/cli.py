@@ -3,6 +3,8 @@
 COMMANDS maps each subcommand to its handler, help text and arguments.
 A command builds only its own subcommand's parser; no argument, --help
 or an unknown name builds them all, so every command is still listed.
+Handlers import analysis, fixtures and selftest where they use them, so
+the codec commands never load those modules.
 
 Exit codes: 0 on success, 2 on validation problems (bad flags, malformed
 files, non-codeword inputs), 3 when decoding or a selftest property
@@ -15,8 +17,7 @@ import argparse
 import sys
 from typing import Iterable, Sequence
 
-from . import analysis, crisscross, fixtures, selftest
-from . import fileio
+from . import crisscross, fileio
 from .crisscross import CodeParams
 from .errors import DecodingError, EncodingError
 
@@ -89,6 +90,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import analysis
     try:
         q_values = [int(part) for part in args.q.split(",") if part.strip()]
     except ValueError:
@@ -107,6 +109,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    from . import analysis
     result = analysis.count_code_size(args.n, args.q)
     print(f"n={result.n} q={result.q}")
     print(f"protected first rows:    {result.first_row_count}")
@@ -126,6 +129,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_fixtures(args: argparse.Namespace) -> int:
+    from . import fixtures
     checks = fixtures.verify_fixture_pairs()
     for check in checks:
         status = "OK" if check.ok else "FAIL"
@@ -134,6 +138,7 @@ def cmd_verify_fixtures(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    from . import selftest
     report = selftest.run_selftest(args.n, args.q, args.trials, seed=args.seed)
     for line in report.lines():
         print(line)

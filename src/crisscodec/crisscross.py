@@ -42,7 +42,6 @@ is what guarantees that it never returns a non-codeword.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from numbers import Integral
@@ -50,33 +49,28 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import rll_suffix, vt_core
 from .errors import DecodingError, EncodingError
-from .rll_suffix import RllSuffixParams, from_digits, int_log_floor, to_digits
+from .rll_suffix import RllSuffixParams, _plain_int, from_digits, int_log_floor, to_digits
 
 Array = list[list[int]]
 
 
-@dataclass(frozen=True)
-class CodeParams:
-    """Array dimension n and alphabet size q of one code instance.
+class CodeParams(NamedTuple("CodeParams", [("n", int), ("q", int)])):
+    """Array dimension n and alphabet size q of one code instance, a tuple (n, q).
 
     n and q are stored as plain ints, so that a numpy-typed instance can
     neither overflow nor leave numpy values in the layout caches.
     """
 
-    n: int
-    q: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self) -> None:
-        for name in ("n", "q"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                if isinstance(value, bool) or not isinstance(value, Integral):
-                    raise ValueError(f"{name} must be an integer, got {value!r}")
-                object.__setattr__(self, name, int(value))
-        if self.n < 4:
-            raise ValueError(f"array dimension must be >= 4, got n={self.n}")
-        if self.q < 3:
-            raise ValueError(f"alphabet size must be >= 3, got q={self.q}")
+    def __new__(cls, n: int, q: int) -> CodeParams:
+        n, q = _plain_int("n", n), _plain_int("q", q)
+        if n < 4:
+            raise ValueError(f"array dimension must be >= 4, got n={n}")
+        if q < 3:
+            raise ValueError(f"alphabet size must be >= 3, got q={q}")
+        return super().__new__(cls, n, q)
 
 
 class MessageLengths(NamedTuple):

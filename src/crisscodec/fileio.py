@@ -20,8 +20,8 @@ exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 from . import crisscross, vt_core
 
@@ -32,34 +32,45 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class ArrayFile:
-    """One parsed or to-be-written codec file."""
+class ArrayFile(
+    NamedTuple(
+        "ArrayFile",
+        [("kind", str), ("q", int), ("n", int), ("rows", tuple | None), ("symbols", tuple | None)],
+    )
+):
+    """One parsed or to-be-written codec file, a tuple (kind, q, n, rows, symbols).
 
-    kind: str
-    q: int
-    n: int
-    rows: tuple[tuple[int, ...], ...] | None = None
-    symbols: tuple[int, ...] | None = None
+    rows or symbols, whichever the kind carries, is stored as tuples of
+    plain ints; the other is None.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not _is_int(self.q) or self.q < 2:
-            raise ValueError(f"q must be an integer >= 2, got {self.q!r}")
-        if not _is_int(self.n) or self.n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
-        if self.kind == "data":
-            if self.rows is not None or self.symbols is None:
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
+
+    def __new__(
+        cls,
+        kind: str,
+        q: int,
+        n: int,
+        rows: Sequence[Sequence[int]] | None = None,
+        symbols: Sequence[int] | None = None,
+    ) -> ArrayFile:
+        if kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+        if not _is_int(q) or q < 2:
+            raise ValueError(f"q must be an integer >= 2, got {q!r}")
+        if not _is_int(n) or n < 2:
+            raise ValueError(f"n must be an integer >= 2, got {n!r}")
+        if kind == "data":
+            if rows is not None or symbols is None:
                 raise ValueError('kind "data" carries "symbols", not "rows"')
-            symbols = vt_core.check_symbols(self.symbols, self.q, "symbols")
-            object.__setattr__(self, "symbols", tuple(symbols))
+            symbols = tuple(vt_core.check_symbols(symbols, q, "symbols"))
         else:
-            if self.symbols is not None or self.rows is None:
-                raise ValueError(f'kind "{self.kind}" carries "rows", not "symbols"')
-            dim = self.n if self.kind == "array" else self.n - 1
-            rows = crisscross.check_array(self.rows, dim, dim, self.q)
-            object.__setattr__(self, "rows", tuple(map(tuple, rows)))
+            if symbols is not None or rows is None:
+                raise ValueError(f'kind "{kind}" carries "rows", not "symbols"')
+            dim = n if kind == "array" else n - 1
+            rows = tuple(map(tuple, crisscross.check_array(rows, dim, dim, q)))
+        return super().__new__(cls, kind, q, n, rows, symbols)
 
 
 def loads(text: str) -> ArrayFile:

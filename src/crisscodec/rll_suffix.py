@@ -21,7 +21,6 @@ nonzero, which yields the 1-RLL property after inverting the transform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
 from typing import NamedTuple, Sequence
@@ -30,34 +29,37 @@ from . import vt_core
 from .errors import DecodingError, EncodingError
 
 
-@dataclass(frozen=True)
-class RllSuffixParams:
-    """Parameters of RLL_DVT_0(n, m; b) over the alphabet {0, ..., q-1}.
+def _plain_int(name: str, value: int) -> int:
+    """value as a plain int; raises unless it is an integer other than bool."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    return value
+
+
+class RllSuffixParams(NamedTuple("RllSuffixParams", [("n", int), ("q", int), ("b", tuple)])):
+    """Parameters of RLL_DVT_0(n, m; b) over the alphabet {0, ..., q-1}, a tuple (n, q, b).
 
     n is the free body length and b the fixed non-empty suffix, whose
-    length is m.  n and q are stored as plain ints.
+    length is m.  n and q are stored as plain ints, b as a tuple of them.
     """
 
-    n: int
-    q: int
-    b: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self) -> None:
-        for name in ("n", "q"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                if isinstance(value, bool) or not isinstance(value, Integral):
-                    raise ValueError(f"{name} must be an integer, got {value!r}")
-                object.__setattr__(self, name, int(value))
-        if self.q < 3:
-            raise ValueError(f"alphabet size must be >= 3, got q={self.q}")
-        if self.n < 1:
-            raise ValueError(f"body length must be >= 1, got n={self.n}")
-        if not len(self.b):
+    def __new__(cls, n: int, q: int, b: Sequence[int]) -> RllSuffixParams:
+        n, q = _plain_int("n", n), _plain_int("q", q)
+        if q < 3:
+            raise ValueError(f"alphabet size must be >= 3, got q={q}")
+        if n < 1:
+            raise ValueError(f"body length must be >= 1, got n={n}")
+        if not len(b):
             raise ValueError("suffix must be non-empty")
-        object.__setattr__(self, "b", tuple(vt_core.check_symbols(self.b, self.q, "suffix")))
-        if not vt_core.adjacent_distinct(self.b):
-            raise ValueError(f"suffix {self.b} has equal adjacent symbols")
+        b = tuple(vt_core.check_symbols(b, q, "suffix"))
+        if not vt_core.adjacent_distinct(b):
+            raise ValueError(f"suffix {b} has equal adjacent symbols")
+        return super().__new__(cls, n, q, b)
 
     @property
     def m(self) -> int:

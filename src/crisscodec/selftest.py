@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import crisscross
 from .crisscross import CodeParams
@@ -24,16 +24,18 @@ from .crisscross import CodeParams
 WORK_GUARD = 10**10
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
+    """Outcome of one property suite, a tuple."""
+
     name: str
     passed: bool
     detail: str
     seconds: float
 
 
-@dataclass(frozen=True)
-class SelfTestReport:
+class SelfTestReport(NamedTuple):
+    """Outcomes of a run_selftest call, a tuple."""
+
     n: int
     q: int
     seed: int

@@ -108,6 +108,13 @@ MUTANTS = [
         "killed",
     ),
     Mutant(
+        "rll-params-accept-bool-n",
+        "rll_suffix.py",
+        'n, q = _plain_int("n", n), _plain_int("q", q)\n        if q < 3:',
+        'n, q = _plain_int("n", int(n)), _plain_int("q", q)\n        if q < 3:',
+        "killed",
+    ),
+    Mutant(
         "log-floor-no-downward-step",
         "rll_suffix.py",
         "while power > value:",
@@ -119,6 +126,13 @@ MUTANTS = [
         "rll_suffix.py",
         "while power * base <= value:",
         "while False:",
+        "killed",
+    ),
+    Mutant(
+        "code-params-not-coerced",
+        "crisscross.py",
+        'n, q = _plain_int("n", n), _plain_int("q", q)\n        if n < 4:',
+        '_plain_int("n", n), _plain_int("q", q)\n        if n < 4:',
         "killed",
     ),
     Mutant(
@@ -231,6 +245,13 @@ MUTANTS = [
         "fileio.py",
         'lines.append("}")\n    return "\\n".join(lines) + "\\n"',
         'lines.append("}")\n    return "\\n".join(lines)',
+        "killed",
+    ),
+    Mutant(
+        "array-file-rows-not-converted",
+        "fileio.py",
+        "rows = tuple(map(tuple, crisscross.check_array(rows, dim, dim, q)))",
+        "crisscross.check_array(rows, dim, dim, q)",
         "killed",
     ),
     Mutant(

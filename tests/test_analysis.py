@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -56,7 +55,7 @@ class TestAnalysisRow:
         row = analysis.analysis_row(np.int64(64), np.int64(257))
         plain = analysis.analysis_row(64, 257)
         assert row == plain
-        assert json.dumps(asdict(row)) == json.dumps(asdict(plain))
+        assert json.dumps(row._asdict()) == json.dumps(plain._asdict())
 
     def test_gate_propagates(self):
         with pytest.raises(EncodingError, match="not certified"):

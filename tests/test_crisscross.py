@@ -65,6 +65,21 @@ class TestParams:
             with pytest.raises(ValueError, match="must be an integer"):
                 CodeParams(n, q)
 
+    def test_params_are_an_immutable_record(self):
+        params = CodeParams(11, 3)
+        assert repr(params) == "CodeParams(n=11, q=3)"
+        assert hash(CodeParams(np.int64(11), np.int64(3))) == hash(params)
+        with pytest.raises(AttributeError):
+            params.n = 12
+        with pytest.raises(AttributeError):
+            params.extra = 0
+        with pytest.raises(ValueError, match="array dimension must be >= 4"):
+            params._replace(n=3)
+        # Equal params share one entry of each layout cache.
+        numpy_params = CodeParams(np.int64(64), np.int64(257))
+        for layout in (crisscross.first_row_params, crisscross.last_column_params):
+            assert layout(numpy_params) is layout(CodeParams(64, 257))
+
 
 class TestMessageLengths:
     def test_golden_values(self):

@@ -134,6 +134,19 @@ class TestCanonicalForm:
         # Re-dumped with json, which writes 1, 1.0 and true apart.
         assert json.dumps(json.loads(fileio.dumps(g)), sort_keys=True) == json.dumps(json.loads(text), sort_keys=True)
 
+    def test_files_are_immutable_records(self):
+        f = ArrayFile(kind="array", q=3, n=2, rows=[[0, 1], [2, 0]])
+        assert f == ArrayFile("array", 3, 2, ((0, 1), (2, 0)))
+        assert repr(f) == "ArrayFile(kind='array', q=3, n=2, rows=((0, 1), (2, 0)), symbols=None)"
+        data = ArrayFile(symbols=np.array([2, 0]), n=11, q=3, kind="data")
+        assert repr(data) == "ArrayFile(kind='data', q=3, n=11, rows=None, symbols=(2, 0))"
+        with pytest.raises(AttributeError):
+            f.rows = ((0, 0), (0, 0))
+        with pytest.raises(AttributeError):
+            f.extra = 0
+        with pytest.raises(ValueError, match="q must be an integer >= 2"):
+            f._replace(q=1)
+
     def test_non_canonical_spacing_parses_to_same_value(self):
         text = '{"n": 2, "rows": [[0,1],[2,0]], "q": 3, "kind": "array"}'
         assert fileio.loads(text) == ArrayFile("array", 3, 2, [[0, 1], [2, 0]])

@@ -36,6 +36,28 @@ def test_importing_the_codec_does_not_load_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_importing_the_package_or_the_cli_loads_only_the_codec():
+    # A fresh interpreter, because pytest itself imports dataclasses and inspect.
+    code = (
+        "import sys\n"
+        "unwanted = {'dataclasses', 'inspect', 'crisscodec.analysis',\n"
+        "            'crisscodec.fixtures', 'crisscodec.selftest'}\n"
+        "import crisscodec\n"
+        "print(sorted(unwanted & set(sys.modules)))\n"
+        "import crisscodec.cli\n"
+        "print(sorted(unwanted & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n[]\n"
+
+
 def _uses(module: str, tree: ast.Module, modules: set[str]) -> set[tuple[str, str]]:
     """(module, name) of each package name this module refers to, outside the def of that name.
 

@@ -42,6 +42,19 @@ class TestParams:
         assert GOLDEN_PARAMS.m == 2
         assert GOLDEN_PARAMS.length == 9
 
+    def test_params_are_an_immutable_record(self):
+        assert repr(GOLDEN_PARAMS) == "RllSuffixParams(n=7, q=7, b=(0, 2))"
+        numpy_params = RllSuffixParams(np.int64(7), np.int64(7), np.array([0, 2]))
+        assert numpy_params == GOLDEN_PARAMS
+        assert hash(numpy_params) == hash(GOLDEN_PARAMS)
+        assert type(numpy_params.b) is tuple and {type(s) for s in numpy_params.b} == {int}
+        with pytest.raises(AttributeError):
+            GOLDEN_PARAMS.b = (0, 1)
+        with pytest.raises(AttributeError):
+            GOLDEN_PARAMS.extra = 0
+        with pytest.raises(ValueError, match="equal adjacent symbols"):
+            GOLDEN_PARAMS._replace(b=(2, 2))
+
 
 class TestIndexSets:
     def test_golden(self):
