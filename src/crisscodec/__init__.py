@@ -11,9 +11,9 @@ The package is layered bottom-up:
   * crisscross -- the n x n array code built from a protected first row,
     a protected last column and parity conditions; encode, corrupt,
     decode and recover operations.
-  * fileio / analysis / fixtures / selftest / cli -- the JSON file
-    format, redundancy and code-size analysis, embedded reference
-    fixtures, the property suite and the command line front end.
+  * fileio / analysis / selftest / cli -- the JSON file format,
+    redundancy and code-size analysis, the property suite and the
+    command line front end.
 
 Importing the package loads the codec alone (vt_core, rll_suffix,
 crisscross and errors), and neither inspect nor the data class module:

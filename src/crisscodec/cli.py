@@ -3,8 +3,8 @@
 COMMANDS maps each subcommand to its handler, help text and arguments.
 A command builds only its own subcommand's parser; no argument, --help
 or an unknown name builds them all, so every command is still listed.
-Handlers import analysis, fixtures and selftest where they use them, so
-the codec commands never load those modules.
+Handlers import analysis and selftest where they use them, so the codec
+commands never load those modules.
 
 Exit codes: 0 on success, 2 on validation problems (bad flags, malformed
 files, non-codeword inputs), 3 when decoding or a selftest property
@@ -128,15 +128,6 @@ def cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify_fixtures(args: argparse.Namespace) -> int:
-    from . import fixtures
-    checks = fixtures.verify_fixture_pairs()
-    for check in checks:
-        status = "OK" if check.ok else "FAIL"
-        print(f"{check.name}: {status} ({check.detail})")
-    return 0 if all(c.ok for c in checks) else 2
-
-
 def cmd_selftest(args: argparse.Namespace) -> int:
     from . import selftest
     report = selftest.run_selftest(args.n, args.q, args.trials, seed=args.seed)
@@ -180,9 +171,6 @@ COMMANDS = {
         _OUT,
     )),
     "count": (cmd_count, "count the codewords of one code instance", (_N, _Q)),
-    "verify-fixtures": (
-        cmd_verify_fixtures, "re-check the embedded ambiguity fixture pairs", ()
-    ),
     "selftest": (cmd_selftest, "run the randomized property suite", (
         _N,
         _Q,

@@ -108,8 +108,11 @@ def check_array(
 
     An array of plain ints in range is checked as a whole and returned as
     it is.  Anything else goes row by row through check_symbols, which
-    coerces other integer types and names the first bad entry.
+    coerces other integer types and names the first bad entry.  A
+    one-shot iterable of rows is read once into a list.
     """
+    if iter(X) is X:
+        X = list(X)
     lengths = list(map(len, X))
     if len(lengths) != rows:
         raise ValueError(f"expected a {rows}x{cols} array, got {len(lengths)} rows")

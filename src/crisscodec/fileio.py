@@ -24,12 +24,9 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from . import crisscross, vt_core
+from .rll_suffix import _plain_int
 
 KINDS = ("array", "received", "data")
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class ArrayFile(
@@ -40,8 +37,8 @@ class ArrayFile(
 ):
     """One parsed or to-be-written codec file, a tuple (kind, q, n, rows, symbols).
 
-    rows or symbols, whichever the kind carries, is stored as tuples of
-    plain ints; the other is None.
+    q and n are stored as plain ints, and rows or symbols, whichever the
+    kind carries, as tuples of them; the other is None.
     """
 
     __slots__ = ()
@@ -57,10 +54,7 @@ class ArrayFile(
     ) -> ArrayFile:
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-        if not _is_int(q) or q < 2:
-            raise ValueError(f"q must be an integer >= 2, got {q!r}")
-        if not _is_int(n) or n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {n!r}")
+        q, n = _plain_int("q", q, 2), _plain_int("n", n, 2)
         if kind == "data":
             if rows is not None or symbols is None:
                 raise ValueError('kind "data" carries "symbols", not "rows"')

@@ -29,12 +29,14 @@ from . import vt_core
 from .errors import DecodingError, EncodingError
 
 
-def _plain_int(name: str, value: int) -> int:
-    """value as a plain int; raises unless it is an integer other than bool."""
-    if type(value) is not int:
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+def _plain_int(name: str, value: int, minimum: int | None = None) -> int:
+    """value as a plain int; raises unless it is an integer other than bool,
+    and at least minimum if one is given."""
+    if type(value) is not int and not isinstance(value, bool) and isinstance(value, Integral):
         value = int(value)
+    if type(value) is not int or minimum is not None and value < minimum:
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
     return value
 
 

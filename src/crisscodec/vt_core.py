@@ -43,9 +43,13 @@ def check_symbols(x: Sequence[int], q: int, name: str = "sequence") -> Sequence[
 
     A sequence of plain ints is returned as it is.  Other integer types
     (numpy integers, say) are coerced to int in a new list; bool is
-    rejected.  The error names the first bad entry and shows its value
-    shortened by reprlib, so an oversized value cannot flood the message.
+    rejected.  A one-shot iterable, an iterator or a generator, is read
+    once into a list.  The error names the first bad entry and shows its
+    value shortened by reprlib, so an oversized value cannot flood the
+    message.
     """
+    if iter(x) is x:
+        x = list(x)
     if set(map(type, x)) <= _PLAIN_INT:
         values = set(x)
         if not values or (min(values) >= 0 and max(values) < q):

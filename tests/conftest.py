@@ -4,7 +4,9 @@ The golden pipeline values (data vector, codeword array, received array,
 1-D codeword and its encode intermediates) come from a fully
 hand-checked worked example at n=9, q=7.  The encode intermediates are
 read off the codeword by encode_intermediates, and the decoder's steps
-are observed through the rll_decode_calls spy.  The oracles re-derive codec
+are observed through the rll_decode_calls spy.  Two colliding array
+pairs, SMALL_PAIR_* and BINARY_PAIR_*, show why parity alone cannot
+decode.  The oracles re-derive codec
 answers by definition-level brute force -- trying every insertion,
 every row and column deletion, or enumerating whole alphabets -- on
 index loops such as diff_loop, syndrome_loop and adjacent_distinct_loop,
@@ -90,6 +92,38 @@ GOLDEN_WALKTHROUGH = dict(
 
 # |code(4, 3)|, frozen after the first full 3^16 enumeration.
 FROZEN_CODE_SIZE_4_3 = 0
+
+# Two pairs of distinct arrays that give the same received array after one
+# row and one column deletion each, so sum-based reconstruction cannot tell
+# them apart; they are why the codec protects positions and not only sums.
+# The small pair over {0..3} has equal row and column sums, and deleting
+# (row, column) (1, 1) of the first and (2, 2) of the second leaves [[2]]
+# both times.  The 16x16 binary pair differs in 4 entries; deleting the
+# penultimate row of the first and the last row of the second, each with
+# the first column, collide.  The codec refuses q = 2, so the binary pair
+# shows the collision and nothing about the codec itself.
+SMALL_PAIR_Q = 4
+SMALL_PAIR_FIRST = ((1, 1), (1, 2))
+SMALL_PAIR_SECOND = ((2, 0), (0, 3))
+SMALL_PAIR_DELETIONS = ((1, 1), (2, 2))
+
+_Z = (0,) * 16
+_R1 = (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0)
+_R2 = (0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1)
+_R6 = (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1)
+_R8 = (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1)
+_R10 = (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0)
+_R11 = (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1)
+_R12 = (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1)
+_R13 = (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0)
+_R14 = (0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0)
+_R15 = (0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+_SHARED = (_R1, _R2, _R1, _R2, _Z, _R6, _Z, _R8, _Z, _R10, _R11, _R12, _R13, _R14)
+
+BINARY_PAIR_Q = 2
+BINARY_PAIR_FIRST = _SHARED + (_R15, _Z)
+BINARY_PAIR_SECOND = _SHARED + (_Z, _R15)
+BINARY_PAIR_DELETIONS = ((15, 1), (16, 1))
 
 
 def iter_words(n: int, q: int):

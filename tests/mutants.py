@@ -101,6 +101,13 @@ MUTANTS = [
         "killed",
     ),
     Mutant(
+        "check-symbols-one-shot-read-twice",
+        "vt_core.py",
+        "if iter(x) is x:",
+        "if False:",
+        "killed",
+    ),
+    Mutant(
         "rll-suffix-check-dropped",
         "rll_suffix.py",
         "if tuple(result.codeword[params.n :]) != params.b:",
@@ -266,6 +273,13 @@ MUTANTS = [
         "fileio.py",
         'if payload_key == "rows" and not all(isinstance(r, list) for r in payload):',
         "if False:",
+        "killed",
+    ),
+    Mutant(
+        "array-file-q-n-not-coerced",
+        "fileio.py",
+        'q, n = _plain_int("q", q, 2), _plain_int("n", n, 2)',
+        '_plain_int("q", q, 2), _plain_int("n", n, 2)',
         "killed",
     ),
     Mutant(

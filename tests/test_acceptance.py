@@ -18,6 +18,9 @@ import time
 import pytest
 
 from conftest import (
+    BINARY_PAIR_DELETIONS,
+    BINARY_PAIR_FIRST,
+    BINARY_PAIR_SECOND,
     FROZEN_CODE_SIZE_4_3,
     GOLDEN_ARRAY,
     GOLDEN_CODEWORD_1D,
@@ -26,6 +29,9 @@ from conftest import (
     GOLDEN_INTERMEDIATES_1D,
     GOLDEN_RECEIVED_9_9,
     GOLDEN_WALKTHROUGH,
+    SMALL_PAIR_DELETIONS,
+    SMALL_PAIR_FIRST,
+    SMALL_PAIR_SECOND,
     brute_deletion_candidates,
     build_structural_codeword,
     count_arrays_bruteforce,
@@ -33,7 +39,7 @@ from conftest import (
     encode_intermediates,
     enumerate_protected_words,
 )
-from crisscodec import analysis, crisscross, fixtures, rll_suffix, vt_core
+from crisscodec import analysis, crisscross, rll_suffix, vt_core
 from crisscodec.crisscross import CodeParams
 from crisscodec.errors import DecodingError
 from crisscodec.rll_suffix import RllSuffixParams
@@ -250,11 +256,20 @@ def test_acc08_ball_disjointness():
 
 @criterion("ambiguity-fixtures")
 def test_acc09_ambiguity_fixtures():
-    checks = fixtures.verify_fixture_pairs()
-    for check in checks:
-        assert check.ok, f"{check.name}: {check.detail}"
-    assert len(checks) == 4
-    return "both embedded colliding pairs re-verified (4 checks)"
+    def sums(X):
+        return [sum(r) for r in X], [sum(c) for c in zip(*X)]
+
+    assert sums(SMALL_PAIR_FIRST) == sums(SMALL_PAIR_SECOND)
+    (i_a, j_a), (i_b, j_b) = SMALL_PAIR_DELETIONS
+    assert crisscross.corrupt(SMALL_PAIR_FIRST, i_a, j_a) == [[2]]
+    assert crisscross.corrupt(SMALL_PAIR_SECOND, i_b, j_b) == [[2]]
+
+    pairs = zip(BINARY_PAIR_FIRST, BINARY_PAIR_SECOND)
+    assert sum(a != b for row_a, row_b in pairs for a, b in zip(row_a, row_b)) == 4
+    (i_a, j_a), (i_b, j_b) = BINARY_PAIR_DELETIONS
+    got_a = crisscross.corrupt(BINARY_PAIR_FIRST, i_a, j_a)
+    assert got_a == crisscross.corrupt(BINARY_PAIR_SECOND, i_b, j_b)
+    return "both colliding pairs re-verified (4 properties)"
 
 
 @criterion("corner-discriminator")

@@ -20,6 +20,8 @@ from conftest import (
     GOLDEN_DATA,
     GOLDEN_RECEIVED_9_9,
     GOLDEN_WALKTHROUGH,
+    SMALL_PAIR_FIRST,
+    SMALL_PAIR_SECOND,
     build_structural_codeword,
     deletion_ball,
     enumerate_protected_words,
@@ -28,7 +30,6 @@ from conftest import (
 from crisscodec import crisscross, fileio, rll_suffix, vt_core
 from crisscodec.crisscross import CodeParams
 from crisscodec.errors import CodecError, DecodingError, EncodingError
-from crisscodec.fixtures import SMALL_PAIR_FIRST, SMALL_PAIR_SECOND
 
 GOLDEN_PARAMS = CodeParams(9, 7)
 

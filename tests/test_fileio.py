@@ -165,6 +165,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             ArrayFile(kind="data", q="3", n=9, symbols=[0])
 
+    def test_numpy_integer_q_and_n_are_stored_as_plain_ints(self):
+        # q and n follow the codec's one integer rule, as CodeParams does.
+        plain = ArrayFile(kind="data", q=7, n=9, symbols=[0, 6])
+        numpy_typed = ArrayFile(kind="data", q=np.int64(7), n=np.int32(9), symbols=[0, 6])
+        assert (type(numpy_typed.q), type(numpy_typed.n)) == (int, int)
+        assert numpy_typed == plain and repr(numpy_typed) == repr(plain)
+        assert fileio.dumps(numpy_typed) == fileio.dumps(plain)
+        with pytest.raises(ValueError, match=r"^q must be an integer >= 2, got True$"):
+            ArrayFile(kind="data", q=True, n=9, symbols=[0])
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 2, got True$"):
+            ArrayFile(kind="data", q=3, n=True, symbols=[0])
+
+    def test_one_shot_symbols_are_read_once(self):
+        with pytest.raises(ValueError, match=r"^symbols\[2\] = 9 is outside the alphabet \[0, 3\)$"):
+            ArrayFile("data", 3, 4, symbols=(s for s in [1, 2, 9]))
+        assert ArrayFile("data", 3, 4, symbols=iter([1, 2])).symbols == (1, 2)
+
+    def test_one_shot_rows_are_read_once(self):
+        rows = ArrayFile("array", 3, 2, rows=(r for r in [[0, 1], [2, 0]])).rows
+        assert rows == ((0, 1), (2, 0))
+
     def test_payload_kind_mismatch(self):
         with pytest.raises(ValueError):
             ArrayFile(kind="data", q=3, n=9, rows=[[0]])

@@ -22,8 +22,7 @@ PYPROJECT = SRC.parents[1] / "pyproject.toml"
 def test_importing_the_codec_does_not_load_numpy():
     code = (
         "import sys, crisscodec, crisscodec.crisscross, crisscodec.fileio, "
-        "crisscodec.selftest, crisscodec.fixtures, crisscodec.analysis, "
-        "crisscodec.cli\n"
+        "crisscodec.selftest, crisscodec.analysis, crisscodec.cli\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'"
     )
     proc = subprocess.run(
@@ -40,8 +39,7 @@ def test_importing_the_package_or_the_cli_loads_only_the_codec():
     # A fresh interpreter, because pytest itself imports dataclasses and inspect.
     code = (
         "import sys\n"
-        "unwanted = {'dataclasses', 'inspect', 'crisscodec.analysis',\n"
-        "            'crisscodec.fixtures', 'crisscodec.selftest'}\n"
+        "unwanted = {'dataclasses', 'inspect', 'crisscodec.analysis', 'crisscodec.selftest'}\n"
         "import crisscodec\n"
         "print(sorted(unwanted & set(sys.modules)))\n"
         "import crisscodec.cli\n"

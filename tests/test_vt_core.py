@@ -86,6 +86,13 @@ class TestKernelsAgainstLoops:
         assert vt_core.adjacent_distinct([]) is adjacent_distinct_loop([]) is True
 
 
+class TestCheckSymbols:
+    def test_a_one_shot_iterable_is_read_once(self):
+        with pytest.raises(ValueError, match=r"^sequence\[0\] = 7 is outside the alphabet"):
+            vt_core.check_symbols(iter([7, 8]), 3)
+        assert vt_core.check_symbols((s for s in [2, 0]), 3) == [2, 0]
+
+
 class TestMembership:
     def test_membership_golden(self):
         golden = vt_core.dvt_differential(GOLDEN_CODEWORD_1D, 7)
