@@ -27,25 +27,29 @@ Input is checked once, at the public boundary: `first_violation`,
 `encode`, `decode` and `recover_data` check the shape and alphabet of
 what they are given, and the helpers they call assume valid input.
 `check_array` is that one array check, and `fileio` checks the arrays
-it reads with it too.  An array of plain ints is checked as a whole, by
-one pass over the types of its entries and one over their distinct
+it reads with it too.  An array of plain ints is checked as a whole:
+one pass counts its plain-int entries and one collects their distinct
 values.  Only if that fails is it checked row by row, which coerces
 other integer types (numpy's, say), rejects bool and names the first
-bad entry as `row r[k]`, a 1-based row r and a 0-based entry k.  No
-public function mutates the arrays it is given.  The
-encoder checks the alphabet of the parity entries it computed before it
-checks the codeword conditions.  The decoder runs the full
-`first_violation` on its output and reports any failure there, a
-rebuilt entry outside the alphabet included, as DecodingError; that
-is what guarantees that it never returns a non-codeword.
+bad entry as `row r[k]`, a 1-based row r and a 0-based entry k.  The
+sum conditions 4 and 5 are C-level passes too.  `recover_data` reads
+each protected word once: the 1-D recovery that reads its digits is
+also its condition 1 or 2 check.  No public function mutates the
+arrays it is given.  The encoder checks the alphabet of the parity
+entries it computed before it checks the codeword conditions.  The
+decoder runs the full `first_violation` on its output and reports any
+failure there, a rebuilt entry outside the alphabet included, as
+DecodingError; that is what guarantees that it never returns a
+non-codeword.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice, repeat
 from numbers import Integral
-from typing import Iterable, NamedTuple, Sequence
+from operator import countOf, mod, neg
+from typing import Iterable, NamedTuple, Sequence, Sized
 
 from . import rll_suffix, vt_core
 from .errors import DecodingError, EncodingError
@@ -109,21 +113,34 @@ def check_array(
     An array of plain ints in range is checked as a whole and returned as
     it is.  Anything else goes row by row through check_symbols, which
     coerces other integer types and names the first bad entry.  A
-    one-shot iterable of rows is read once into a list.
+    one-shot iterable of rows is read once into a list.  An X that is
+    not iterable, or a row without a length, is a ValueError too.
     """
-    if iter(X) is X:
-        X = list(X)
-    lengths = list(map(len, X))
+    try:
+        if iter(X) is X:
+            X = list(X)
+        lengths = list(map(len, X))
+    except TypeError:
+        raise ValueError(f"expected a {rows}x{cols} array, {_unsized_part(X)}") from None
     if len(lengths) != rows:
         raise ValueError(f"expected a {rows}x{cols} array, got {len(lengths)} rows")
     if lengths.count(cols) != rows:
         i = next(i for i, length in enumerate(lengths) if length != cols)
         raise ValueError(f"expected a {rows}x{cols} array, row {i + 1} has {lengths[i]} entries")
-    if set(map(type, chain.from_iterable(X))) == {int}:
-        symbols = set(chain.from_iterable(X))
+    if countOf(map(type, chain.from_iterable(X)), int) == rows * cols:
+        symbols = set().union(*X)
         if min(symbols) >= 0 and max(symbols) < q:
             return X
     return [vt_core.check_symbols(row, q, f"row {i}") for i, row in enumerate(X, start=1)]
+
+
+def _unsized_part(X: object) -> str:
+    """What check_array found without a length: the first such row, or X itself."""
+    if isinstance(X, Iterable):
+        for i, row in enumerate(X, start=1):
+            if not isinstance(row, Sized):
+                return f"row {i} is not a sequence"
+    return f"got {type(X).__name__}"
 
 
 def reversed_last_column(X: Sequence[Sequence[int]]) -> list[int]:
@@ -133,16 +150,17 @@ def reversed_last_column(X: Sequence[Sequence[int]]) -> list[int]:
 
 def _parity(sums: Iterable[int], q: int) -> list[int]:
     """The entries that bring each of the given sums to 0 (mod q)."""
-    return [-s % q for s in sums]
+    return list(map(mod, map(neg, sums), repeat(q)))
 
 
-def _message_slices(n: int) -> list[tuple[int, int, int]]:
+@lru_cache
+def _message_slices(n: int) -> tuple[tuple[int, int, int], ...]:
     """Message cells in message order, as 0-based (row, start column, end column).
 
     They are the interior cells, rows and columns 1..n-2, except the two
     marker cells next to the last column in rows 1 and 2.
     """
-    return [(1, 1, n - 2), (2, 1, n - 2)] + [(i, 1, n - 1) for i in range(3, n - 1)]
+    return ((1, 1, n - 2), (2, 1, n - 2)) + tuple((i, 1, n - 1) for i in range(3, n - 1))
 
 
 def free_cells(n: int) -> int:
@@ -177,21 +195,36 @@ def _assemble(
     return X
 
 
+_CONDITION_1 = "condition 1: first row is not a protected 1-D codeword"
+_CONDITION_2 = "condition 2: reversed last column is not a protected 1-D codeword"
+
+
 def _violation(X: Sequence[Sequence[int]], params: CodeParams) -> str | None:
     """first_violation for an array already known to have the right shape and alphabet."""
-    n, q = params.n, params.q
     if not rll_suffix.is_member(X[0], first_row_params(params)):
-        return "condition 1: first row is not a protected 1-D codeword"
+        return _CONDITION_1
     if not rll_suffix.is_member(reversed_last_column(X), last_column_params(params)):
-        return "condition 2: reversed last column is not a protected 1-D codeword"
+        return _CONDITION_2
+    return _unprotected_violation(X, params)
+
+
+def _unprotected_violation(X: Sequence[Sequence[int]], params: CodeParams) -> str | None:
+    """The first violated condition among 3-5, the ones outside the protected words.
+
+    Each sum condition is one pass of C-level maps; only a failed pass
+    scans again, in Python, to name the first bad row or column.
+    """
+    n, q = params.n, params.q
     if X[1][n - 2] != 1 or X[2][n - 2] != 2:
         return "condition 3: marker entries next to the last column are wrong"
-    for i, total in enumerate(map(sum, X)):
-        if i > 0 and total % q != 0:
-            return f"condition 4: row {i + 1} does not sum to 0 (mod q)"
-    for j, total in enumerate(map(sum, zip(*X))):
-        if 0 < j < n - 1 and total % q != 0:
-            return f"condition 5: column {j + 1} does not sum to 0 (mod q)"
+    if any(map(mod, map(sum, X[1:]), repeat(q))):
+        for i, row in enumerate(X[1:], start=2):
+            if sum(row) % q:
+                return f"condition 4: row {i} does not sum to 0 (mod q)"
+    if any(map(mod, map(sum, islice(zip(*X), 1, n - 1)), repeat(q))):
+        for j, column in enumerate(zip(*X), start=1):
+            if 1 < j < n and sum(column) % q:
+                return f"condition 5: column {j} does not sum to 0 (mod q)"
     return None
 
 
@@ -251,9 +284,9 @@ def encode(data: Sequence[int], params: CodeParams) -> Array:
     """
     q = params.q
     ml = message_lengths(params)
+    data = vt_core.check_symbols(data, q, "data")
     if len(data) != ml.total:
         raise ValueError(f"expected {ml.total} data symbols, got {len(data)}")
-    data = vt_core.check_symbols(data, q, "data")
 
     packed = from_digits(data[: ml.k3], q)
     digits = to_digits(packed, q - 1, ml.k1 + ml.k2)
@@ -345,17 +378,30 @@ def decode(Y: Sequence[Sequence[int]], params: CodeParams) -> Array:
 
 
 def recover_data(X: Sequence[Sequence[int]], params: CodeParams) -> list[int]:
-    """Read the message symbols back out of a codeword (inverse of encode)."""
+    """Read the message symbols back out of a codeword (inverse of encode).
+
+    Each protected word is read once: rll_suffix.recover_data both
+    checks it and reads its digits, and its refusal is reported as
+    condition 1 or 2.  Conditions 3-5 are checked after them, so a
+    non-codeword names the condition that first_violation names.
+    """
     n, q = params.n, params.q
     ml = message_lengths(params)
     X = check_array(X, n, n, q)
-    violation = _violation(X, params)
+    digits: list[int] = []
+    for word, code, condition in (
+        (X[0], first_row_params(params), _CONDITION_1),
+        (reversed_last_column(X), last_column_params(params), _CONDITION_2),
+    ):
+        try:
+            digits += rll_suffix.recover_data(word, code)
+        except ValueError as exc:
+            raise ValueError(f"input is not a codeword: {condition}") from exc
+    violation = _unprotected_violation(X, params)
     if violation is not None:
         raise ValueError(f"input is not a codeword: {violation}")
 
-    u_digits = rll_suffix.recover_data(X[0], first_row_params(params))
-    v_digits = rll_suffix.recover_data(reversed_last_column(X), last_column_params(params))
-    packed = from_digits(u_digits + v_digits, q - 1)
+    packed = from_digits(digits, q - 1)
     if packed >= q**ml.k3:
         raise ValueError(
             "protected row/column carry a value outside the encoder image"

@@ -201,10 +201,9 @@ def encode(data: Sequence[int], params: RllSuffixParams) -> list[int]:
     """
     n, m, q, b = params.n, params.m, params.q, params.b
     sets = index_sets(n, q)
-    expected = len(sets.data)
-    if len(data) != expected:
-        raise ValueError(f"expected {expected} data symbols, got {len(data)}")
     data = vt_core.check_symbols(data, q - 1, "data")
+    if len(data) != len(sets.data):
+        raise ValueError(f"expected {len(sets.data)} data symbols, got {len(data)}")
 
     total = n + m
     modulus = q * total
@@ -241,11 +240,13 @@ def _differential(x: Sequence[int], params: RllSuffixParams) -> list[int] | None
     """diff(x) if x is a codeword of RLL_DVT_0(n, m; b), else None.
 
     Raises ValueError unless x has the code length and lies in the alphabet.
+    x repeats a symbol exactly where its differential is 0 before the last
+    position, so the 1-RLL test reads y rather than x again.
     """
     if len(x) != params.length:
         raise ValueError(f"expected a sequence of length {params.length}, got {len(x)}")
     y = vt_core.dvt_differential(x, params.q)
-    if y is None or not vt_core.adjacent_distinct(x) or tuple(x[params.n :]) != params.b:
+    if y is None or 0 in y[:-1] or tuple(x[params.n :]) != params.b:
         return None
     return y
 
@@ -274,6 +275,8 @@ def recover_data(x: Sequence[int], params: RllSuffixParams) -> list[int]:
 
     A codeword is 1-RLL, so its differential is nonzero at every body
     position, each data position included: it holds a data symbol plus one.
+    crisscross.recover_data checks its protected words with this call and
+    reports its refusal of a non-codeword as condition 1 or condition 2.
     """
     y = _differential(x, params)
     if y is None:

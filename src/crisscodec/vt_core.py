@@ -18,12 +18,10 @@ from __future__ import annotations
 import reprlib
 from itertools import count, islice, repeat
 from numbers import Integral
-from operator import mod, mul, ne, sub
+from operator import countOf, mod, mul, ne, sub
 from typing import NamedTuple, Sequence
 
 from .errors import DecodingError
-
-_PLAIN_INT = frozenset({int})
 
 
 class DeletionDecode(NamedTuple):
@@ -44,16 +42,20 @@ def check_symbols(x: Sequence[int], q: int, name: str = "sequence") -> Sequence[
     A sequence of plain ints is returned as it is.  Other integer types
     (numpy integers, say) are coerced to int in a new list; bool is
     rejected.  A one-shot iterable, an iterator or a generator, is read
-    once into a list.  The error names the first bad entry and shows its
+    once into a list, and anything that is not a sized iterable is a
+    ValueError.  The error names the first bad entry and shows its
     value shortened by reprlib, so an oversized value cannot flood the
     message.
     """
-    if iter(x) is x:
-        x = list(x)
-    if set(map(type, x)) <= _PLAIN_INT:
-        values = set(x)
-        if not values or (min(values) >= 0 and max(values) < q):
-            return x
+    try:
+        if iter(x) is x:
+            x = list(x)
+        if countOf(map(type, x), int) == len(x):
+            values = set(x)
+            if not values or (min(values) >= 0 and max(values) < q):
+                return x
+    except TypeError:
+        raise ValueError(f"{name} = {reprlib.repr(x)} is not a sequence of symbols") from None
     symbols = []
     for i, s in enumerate(x):
         if not isinstance(s, Integral) or isinstance(s, bool) or not 0 <= s < q:

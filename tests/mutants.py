@@ -115,6 +115,13 @@ MUTANTS = [
         "killed",
     ),
     Mutant(
+        "rll-member-skips-first-pair",
+        "rll_suffix.py",
+        "if y is None or 0 in y[:-1] or",
+        "if y is None or 0 in y[1:-1] or",
+        "killed",
+    ),
+    Mutant(
         "rll-params-accept-bool-n",
         "rll_suffix.py",
         'n, q = _plain_int("n", n), _plain_int("q", q)\n        if q < 3:',
@@ -145,15 +152,16 @@ MUTANTS = [
     Mutant(
         "parity-off-by-one",
         "crisscross.py",
-        "return [-s % q for s in sums]",
-        "return [(1 - s) % q for s in sums]",
+        "return list(map(mod, map(neg, sums), repeat(q)))",
+        "return list(map(mod, map((1).__sub__, sums), repeat(q)))",
         "killed",
     ),
     Mutant(
         "check-array-fast-path-accepts-bool",
         "crisscross.py",
-        "if set(map(type, chain.from_iterable(X))) == {int}:",
-        "if set(map(type, chain.from_iterable(X))) <= {int, bool}:",
+        "if countOf(map(type, chain.from_iterable(X)), int) == rows * cols:",
+        "if countOf(map(type, chain.from_iterable(X)), int)"
+        " + countOf(map(type, chain.from_iterable(X)), bool) == rows * cols:",
         "killed",
     ),
     Mutant(
@@ -166,8 +174,15 @@ MUTANTS = [
     Mutant(
         "condition-5-skips-column-n-1",
         "crisscross.py",
-        "if 0 < j < n - 1 and total % q != 0:",
-        "if 0 < j < n - 2 and total % q != 0:",
+        "islice(zip(*X), 1, n - 1)",
+        "islice(zip(*X), 1, n - 2)",
+        "killed",
+    ),
+    Mutant(
+        "condition-4-row-off-by-one",
+        "crisscross.py",
+        "enumerate(X[1:], start=2)",
+        "enumerate(X[1:], start=1)",
         "killed",
     ),
     Mutant(
@@ -231,6 +246,13 @@ MUTANTS = [
         "crisscross.py",
         "if packed >= q**ml.k3:",
         "if packed > q**ml.k3:",
+        "killed",
+    ),
+    Mutant(
+        "recover-column-refusal-as-condition-1",
+        "crisscross.py",
+        "last_column_params(params), _CONDITION_2)",
+        "last_column_params(params), _CONDITION_1)",
         "killed",
     ),
     Mutant(

@@ -160,6 +160,26 @@ class TestMessageLengths:
             assert crisscross.free_cells(n) == cells == (n - 2) ** 2 - 2
 
 
+def reference_violation(X, params: CodeParams) -> str | None:
+    """first_violation of a checked array, as a plain loop over every row and column."""
+    n, q = params.n, params.q
+    if not rll_suffix.is_member(X[0], crisscross.first_row_params(params)):
+        return "condition 1: first row is not a protected 1-D codeword"
+    if not rll_suffix.is_member(
+        [row[-1] for row in reversed(X)], crisscross.last_column_params(params)
+    ):
+        return "condition 2: reversed last column is not a protected 1-D codeword"
+    if X[1][n - 2] != 1 or X[2][n - 2] != 2:
+        return "condition 3: marker entries next to the last column are wrong"
+    for i, total in enumerate(map(sum, X)):
+        if i > 0 and total % q != 0:
+            return f"condition 4: row {i + 1} does not sum to 0 (mod q)"
+    for j, total in enumerate(map(sum, zip(*X))):
+        if 0 < j < n - 1 and total % q != 0:
+            return f"condition 5: column {j + 1} does not sum to 0 (mod q)"
+    return None
+
+
 class TestMembership:
     def test_golden_is_codeword(self):
         assert crisscross.first_violation(GOLDEN_ARRAY, GOLDEN_PARAMS) is None
@@ -212,6 +232,47 @@ class TestMembership:
                 assert crisscross.first_violation(Y, params) == expected
                 with pytest.raises(ValueError, match=re.escape(expected)):
                     crisscross.recover_data(Y, params)
+
+    @pytest.mark.parametrize(
+        "region", ["first row", "last column", "marker", "interior", "row swap", "row 1 and 4"]
+    )
+    def test_error_texts_match_the_reference_loop(self, region):
+        # first_violation and recover_data name the condition, row and column
+        # that the reference loop names.  A "row swap" moves a +a/-a pair within
+        # one row, which keeps the row sums and breaks column sums only.
+        n, q = GOLDEN_PARAMS
+        rng = random.Random(f"error-texts:{region}")
+        markers = {(1, n - 2), (2, n - 2)}
+        interior = [(r, c) for r in range(1, n) for c in range(n - 1) if (r, c) not in markers]
+        for _ in range(30):
+            X = [list(row) for row in GOLDEN_ARRAY]
+            if region == "row swap":
+                r = rng.randrange(1, n)
+                c1, c2 = rng.sample(range(n - 1), 2)
+                a = rng.randrange(1, q)
+                X[r][c1], X[r][c2] = (X[r][c1] + a) % q, (X[r][c2] - a) % q
+            else:
+                cells = {
+                    "first row": [(0, rng.randrange(n))],
+                    "last column": [(rng.randrange(1, n), n - 1)],
+                    "marker": [rng.choice(sorted(markers))],
+                    "interior": [rng.choice(interior)],
+                    "row 1 and 4": [(0, rng.randrange(n)), (3, rng.randrange(1, n - 1))],
+                }[region]
+                for r, c in cells:
+                    X[r][c] = (X[r][c] + rng.randrange(1, q)) % q
+            expected = reference_violation(X, GOLDEN_PARAMS)
+            assert expected is not None
+            if region == "row 1 and 4":
+                assert expected.startswith("condition 1")
+                fixed_first_row = [GOLDEN_ARRAY[0]] + X[1:]
+                assert reference_violation(fixed_first_row, GOLDEN_PARAMS).startswith(
+                    "condition 4: row 4 "
+                )
+            assert crisscross.first_violation(X, GOLDEN_PARAMS) == expected
+            with pytest.raises(ValueError) as refused:
+                crisscross.recover_data(X, GOLDEN_PARAMS)
+            assert str(refused.value) == f"input is not a codeword: {expected}"
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -606,6 +667,57 @@ class TestInputBoundary:
         f = fileio.loads(text)
         assert f.rows == tuple(map(tuple, GOLDEN_ARRAY))
         assert len(scanned) == 1 and symbol_scans == []
+
+    def test_each_protected_word_is_read_once_and_decode_checks_once(self, monkeypatch):
+        # recover_data checks and reads each protected word in one 1-D pass,
+        # and decode runs one full first_violation, on its own output.
+        words, checked = [], []
+        real_differential, real_violation = vt_core.dvt_differential, crisscross.first_violation
+
+        def differential_spy(x, q):
+            words.append(list(x))
+            return real_differential(x, q)
+
+        def violation_spy(X, params):
+            checked.append(X)
+            return real_violation(X, params)
+
+        monkeypatch.setattr(vt_core, "dvt_differential", differential_spy)
+        monkeypatch.setattr(crisscross, "first_violation", violation_spy)
+        assert crisscross.recover_data(GOLDEN_ARRAY, GOLDEN_PARAMS) == GOLDEN_DATA
+        assert words == [GOLDEN_ARRAY[0], crisscross.reversed_last_column(GOLDEN_ARRAY)]
+        X = crisscross.decode(GOLDEN_RECEIVED_9_9, GOLDEN_PARAMS)
+        assert len(checked) == 1 and checked[0] is X
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: crisscross.encode(5, CodeParams(11, 3)),
+                "data = 5 is not a sequence of symbols",
+            ),
+            (lambda: crisscross.decode(5, CodeParams(11, 3)), "expected a 10x10 array, got int"),
+            (
+                lambda: crisscross.recover_data([[0] * 11] * 10 + [5], CodeParams(11, 3)),
+                "expected a 11x11 array, row 11 is not a sequence",
+            ),
+            (lambda: vt_core.check_symbols(5, 3), "sequence = 5 is not a sequence of symbols"),
+            (
+                lambda: rll_suffix.encode(5, crisscross.first_row_params(CodeParams(11, 3))),
+                "data = 5 is not a sequence of symbols",
+            ),
+            (
+                lambda: fileio.ArrayFile("array", 3, 2, rows=[iter([0, 1]), iter([2, 0])]),
+                "expected a 2x2 array, row 1 is not a sequence",
+            ),
+        ],
+        ids=["encode", "decode", "recover_data", "check_symbols", "rll_encode", "ArrayFile"],
+    )
+    def test_a_non_sequence_is_a_value_error(self, call, message):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert type(refused.value) is ValueError
+        assert str(refused.value) == message
 
     @pytest.mark.parametrize("bad", [True, np.int64(7), 2.0, "3", -1, 7], ids=repr)
     def test_one_pass_check_agrees_with_the_row_by_row_check(self, bad):

@@ -245,10 +245,16 @@ class TestMembership:
         # adjacent repeat
         assert not rll_suffix.is_member([4, 4, 1, 4, 5, 2, 1, 0, 2], GOLDEN_PARAMS)
 
-    @pytest.mark.parametrize("q", [3, 4])
-    def test_agrees_with_pure_enumeration(self, q):
-        params = RllSuffixParams(5, q, (0, 1, 2))
-        expected = {tuple(x) for x in enumerate_protected_words(8, q, (0, 1, 2))}
+    # At (6, 3, (0, 2)) two DVT_0 words with the suffix repeat only their
+    # first symbol, so the 1-RLL test must reach the first pair.
+    @pytest.mark.parametrize(
+        "n, q, b",
+        [(5, 3, (0, 1, 2)), (5, 4, (0, 1, 2)), (6, 3, (0, 2))],
+        ids=["3", "4", "3-suffix-0-2"],
+    )
+    def test_agrees_with_pure_enumeration(self, n, q, b):
+        params = RllSuffixParams(n, q, b)
+        expected = {tuple(x) for x in enumerate_protected_words(8, q, b)}
         got = {
             x
             for x in itertools.product(range(q), repeat=8)
