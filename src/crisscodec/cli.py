@@ -94,9 +94,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         q_values = [int(part) for part in args.q.split(",") if part.strip()]
     except ValueError:
-        raise ValueError(f"--q must be comma-separated integers, got {args.q!r}") from None
-    if not q_values or any(q < 3 for q in q_values):
-        raise ValueError("every alphabet size must be an integer >= 3")
+        q_values = []
+    if not q_values:
+        raise ValueError(f"--q must be comma-separated integers, got {args.q!r}")
     if not args.n_min <= args.n_max <= MAX_ANALYZE_DIMENSION:
         raise ValueError(
             f"need n-min <= n-max <= {MAX_ANALYZE_DIMENSION}, "

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, islice, repeat
-from numbers import Integral
 from operator import countOf, mod, neg
 from typing import Iterable, NamedTuple, Sequence, Sized
 
@@ -238,11 +237,15 @@ def first_violation(X: Sequence[Sequence[int]], params: CodeParams) -> str | Non
 
 def corrupt(X: Sequence[Sequence[int]], i: int, j: int) -> Array:
     """Delete row i and column j (1-based) from a square array."""
-    n = len(X)
-    if n < 2 or any(len(row) != n for row in X):
+    try:
+        n = len(X)
+        square = n >= 2 and all(len(row) == n for row in X)
+    except TypeError:
+        square = False
+    if not square:
         raise ValueError("input must be a square array of dimension >= 2")
     for name, index in (("row", i), ("column", j)):
-        if isinstance(index, bool) or not isinstance(index, Integral) or not 1 <= index <= n:
+        if not 1 <= _plain_int(f"{name} index", index) <= n:
             raise ValueError(f"{name} index must be an integer in [1, {n}], got {index!r}")
     return [
         list(row[: j - 1]) + list(row[j:])
@@ -261,11 +264,13 @@ def message_lengths(params: CodeParams) -> MessageLengths:
     """
     n, q = params.n, params.q
     row, col = first_row_params(params), last_column_params(params)
-    k1, k2 = rll_suffix.data_length(row.n, q), rll_suffix.data_length(col.n, q)
-    if k1 < 1 or k2 < 1:
+    try:
+        k1 = len(rll_suffix.index_sets(row.n, q).data)
+        k2 = len(rll_suffix.index_sets(col.n, q).data)
+    except ValueError:
         raise ValueError(
             f"parameters n={n}, q={q} leave no data room in the protected row/column"
-        )
+        ) from None
     if not (rll_suffix.encodable(row.n, row.m, q) and rll_suffix.encodable(col.n, col.m, q)):
         raise EncodingError(
             f"the encoder is not certified at n={n}, q={q}: a syndrome residue "

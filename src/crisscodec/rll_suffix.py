@@ -56,9 +56,9 @@ class RllSuffixParams(NamedTuple("RllSuffixParams", [("n", int), ("q", int), ("b
             raise ValueError(f"alphabet size must be >= 3, got q={q}")
         if n < 1:
             raise ValueError(f"body length must be >= 1, got n={n}")
-        if not len(b):
-            raise ValueError("suffix must be non-empty")
         b = tuple(vt_core.check_symbols(b, q, "suffix"))
+        if not b:
+            raise ValueError("suffix must be non-empty")
         if not vt_core.adjacent_distinct(b):
             raise ValueError(f"suffix {b} has equal adjacent symbols")
         return super().__new__(cls, n, q, b)
@@ -126,39 +126,21 @@ def from_digits(digits: Sequence[int], base: int) -> int:
     return value
 
 
-def data_length(n: int, q: int) -> int:
-    """Number of data symbols carried by a body of length n: n - t - 4."""
-    return n - int_log_floor(q - 1, n) - 4
-
-
 @lru_cache
 def index_sets(n: int, q: int) -> IndexSets:
     """Split body positions 1..n into power, high and data positions.
 
-    Needs enough room for the three high positions and at least one
-    data position, i.e. n >= t + 5 where t = floor(log_{q-1} n).
+    The last three non-power positions are the high ones and the rest
+    carry data, which needs n >= t + 5 where t = floor(log_{q-1} n).
     """
     t = int_log_floor(q - 1, n)
     power = tuple((q - 1) ** i for i in range(t + 1))
-    power_set = set(power)
-    high = []
-    j = n
-    while j >= 1 and len(high) < 3:
-        if j not in power_set:
-            high.append(j)
-        j -= 1
-    if len(high) < 3:
-        raise ValueError(
-            f"body length n={n} is too small to reserve three high positions"
-        )
-    high = tuple(sorted(high))
-    reserved = power_set | set(high)
-    data = tuple(i for i in range(1, n + 1) if i not in reserved)
-    if not data:
+    rest = tuple(sorted(set(range(1, n + 1)).difference(power)))
+    if len(rest) < 4:
         raise ValueError(
             f"body length n={n} leaves no data positions (need n >= t + 5 = {t + 5})"
         )
-    return IndexSets(t, power, high, data)
+    return IndexSets(t, power, rest[-3:], rest[:-3])
 
 
 def _greedy(residue: int, high: Sequence[int], q: int) -> tuple[tuple[int, ...], int]:
@@ -193,8 +175,8 @@ def encodable(n: int, m: int, q: int) -> bool:
 def encode(data: Sequence[int], params: RllSuffixParams) -> list[int]:
     """Encode data symbols into a codeword of RLL_DVT_0(n, m; b).
 
-    Data symbols live in {0, ..., q-2}; there are data_length(n, q) of
-    them.  Where encodable(n, m, q) is False the residue left for the
+    Data symbols live in {0, ..., q-2}, one per index_sets(n, q) data
+    position.  Where encodable(n, m, q) is False the residue left for the
     power positions may overflow them, in which case EncodingError is
     raised; the output is always validated against is_member before
     being returned, and EncodingError is raised if it fails.
@@ -236,6 +218,18 @@ def encode(data: Sequence[int], params: RllSuffixParams) -> list[int]:
     return x
 
 
+def _sized(x: Sequence[int], length: int, q: int, name: str) -> Sequence[int]:
+    """x, or check_symbols' list of it if x has no length; ValueError unless it has this length."""
+    try:
+        size = len(x)
+    except TypeError:
+        x = vt_core.check_symbols(x, q, name)
+        size = len(x)
+    if size != length:
+        raise ValueError(f"expected a {name} of length {length}, got {size}")
+    return x
+
+
 def _differential(x: Sequence[int], params: RllSuffixParams) -> list[int] | None:
     """diff(x) if x is a codeword of RLL_DVT_0(n, m; b), else None.
 
@@ -243,8 +237,7 @@ def _differential(x: Sequence[int], params: RllSuffixParams) -> list[int] | None
     x repeats a symbol exactly where its differential is 0 before the last
     position, so the 1-RLL test reads y rather than x again.
     """
-    if len(x) != params.length:
-        raise ValueError(f"expected a sequence of length {params.length}, got {len(x)}")
+    x = _sized(x, params.length, params.q, "sequence")
     y = vt_core.dvt_differential(x, params.q)
     if y is None or 0 in y[:-1] or tuple(x[params.n :]) != params.b:
         return None
@@ -258,10 +251,7 @@ def is_member(x: Sequence[int], params: RllSuffixParams) -> bool:
 
 def decode(received: Sequence[int], params: RllSuffixParams) -> vt_core.DeletionDecode:
     """Recover codeword and exact deletion position from one deletion."""
-    if len(received) != params.length - 1:
-        raise ValueError(
-            f"expected a received word of length {params.length - 1}, got {len(received)}"
-        )
+    received = _sized(received, params.length - 1, params.q, "received word")
     result = vt_core.decode_rll_deletion(received, params.q)
     if tuple(result.codeword[params.n :]) != params.b:
         raise DecodingError(

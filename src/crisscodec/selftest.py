@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 from . import crisscross
 from .crisscross import CodeParams
+from .rll_suffix import _plain_int
 
 WORK_GUARD = 10**10
 
@@ -55,13 +56,14 @@ class SelfTestReport(NamedTuple):
 
 def run_selftest(n: int, q: int, trials: int, seed: int = 0) -> SelfTestReport:
     """Run the property suite at (n, q) and report per-suite outcomes."""
+    params = CodeParams(n, q)
+    n, q, trials = params.n, params.q, _plain_int("trials", trials)
     if trials < 1:
         raise ValueError(f"need at least one trial, got trials={trials}")
     if trials * n**4 > WORK_GUARD:
         raise ValueError(
             f"trials * n^4 = {trials * n**4} steps exceed the work guard {WORK_GUARD}"
         )
-    params = CodeParams(n, q)
     ml = crisscross.message_lengths(params)
     rng = random.Random(seed)
     results = []

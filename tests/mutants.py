@@ -298,6 +298,20 @@ MUTANTS = [
         "killed",
     ),
     Mutant(
+        "rll-high-data-split-shifted",
+        "rll_suffix.py",
+        "return IndexSets(t, power, rest[-3:], rest[:-3])",
+        "return IndexSets(t, power, rest[-4:-1], rest[:-4] + rest[-1:])",
+        "killed",
+    ),
+    Mutant(
+        "corrupt-no-upper-index-bound",
+        "crisscross.py",
+        'if not 1 <= _plain_int(f"{name} index", index) <= n:',
+        'if not 1 <= _plain_int(f"{name} index", index):',
+        "killed",
+    ),
+    Mutant(
         "array-file-q-n-not-coerced",
         "fileio.py",
         'q, n = _plain_int("q", q, 2), _plain_int("n", n, 2)',

@@ -20,6 +20,7 @@ import pytest
 from conftest import (
     BINARY_PAIR_DELETIONS,
     BINARY_PAIR_FIRST,
+    BINARY_PAIR_Q,
     BINARY_PAIR_SECOND,
     FROZEN_CODE_SIZE_4_3,
     GOLDEN_ARRAY,
@@ -31,6 +32,7 @@ from conftest import (
     GOLDEN_WALKTHROUGH,
     SMALL_PAIR_DELETIONS,
     SMALL_PAIR_FIRST,
+    SMALL_PAIR_Q,
     SMALL_PAIR_SECOND,
     brute_deletion_candidates,
     build_structural_codeword,
@@ -259,17 +261,26 @@ def test_acc09_ambiguity_fixtures():
     def sums(X):
         return [sum(r) for r in X], [sum(c) for c in zip(*X)]
 
+    for first, second, q in (
+        (SMALL_PAIR_FIRST, SMALL_PAIR_SECOND, SMALL_PAIR_Q),
+        (BINARY_PAIR_FIRST, BINARY_PAIR_SECOND, BINARY_PAIR_Q),
+    ):
+        assert {v for X in (first, second) for row in X for v in row} <= set(range(q))
+
+    assert SMALL_PAIR_FIRST != SMALL_PAIR_SECOND
     assert sums(SMALL_PAIR_FIRST) == sums(SMALL_PAIR_SECOND)
     (i_a, j_a), (i_b, j_b) = SMALL_PAIR_DELETIONS
     assert crisscross.corrupt(SMALL_PAIR_FIRST, i_a, j_a) == [[2]]
     assert crisscross.corrupt(SMALL_PAIR_SECOND, i_b, j_b) == [[2]]
 
+    for X in (BINARY_PAIR_FIRST, BINARY_PAIR_SECOND):
+        assert len(X) == 16 and all(len(row) == 16 for row in X)
     pairs = zip(BINARY_PAIR_FIRST, BINARY_PAIR_SECOND)
     assert sum(a != b for row_a, row_b in pairs for a, b in zip(row_a, row_b)) == 4
     (i_a, j_a), (i_b, j_b) = BINARY_PAIR_DELETIONS
     got_a = crisscross.corrupt(BINARY_PAIR_FIRST, i_a, j_a)
     assert got_a == crisscross.corrupt(BINARY_PAIR_SECOND, i_b, j_b)
-    return "both colliding pairs re-verified (4 properties)"
+    return "both colliding pairs re-verified (alphabet, shape, sums, collision)"
 
 
 @criterion("corner-discriminator")

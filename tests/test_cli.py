@@ -244,7 +244,10 @@ class TestAnalyze:
         assert main(["analyze", "--n-min", "11", "--n-max", "99999", "--q", "3"]) == 2
         assert main(["analyze", "--n-min", "11", "--n-max", "11", "--q", "3,x"]) == 2
         assert main(["analyze", "--n-min", "11", "--n-max", "11", "--q", "2"]) == 2
+        assert main(["analyze", "--n-min", "11", "--n-max", "11", "--q", ","]) == 2
         capsys.readouterr()
+        assert main(["analyze", "--n-min", "11", "--n-max", "11", "--q", "3,2"]) == 2
+        assert "alphabet size must be >= 3, got q=2" in capsys.readouterr().err
 
 
 class TestCount:

@@ -101,13 +101,29 @@ class TestMessageLengths:
         with pytest.raises(ValueError, match="no data room"):
             crisscross.message_lengths(CodeParams(8, 3))
 
+    def test_one_int_log_floor_per_call(self, monkeypatch):
+        # The split comes from the cached index_sets; only k3 takes a logarithm.
+        original, calls = rll_suffix.int_log_floor, []
+
+        def spy(base, value):
+            calls.append((base, value))
+            return original(base, value)
+
+        params = CodeParams(11, 3)
+        crisscross.message_lengths(params)  # fills the caches
+        monkeypatch.setattr(rll_suffix, "int_log_floor", spy)
+        monkeypatch.setattr(crisscross, "int_log_floor", spy)
+        for _ in range(3):
+            assert crisscross.message_lengths(params) == (2, 1, 1, 80)
+        assert calls == [(3, 2**3)] * 3
+
     def test_refused_point_encodes_every_message(self):
         # The gate certifies all q(n+m) syndrome residues, but at (10, 3)
         # each protected code carries one base-2 digit, and both of its
         # values encode under both codes: the refusal is conservative.
         params = CodeParams(10, 3)
         for code in (crisscross.first_row_params(params), crisscross.last_column_params(params)):
-            assert rll_suffix.data_length(code.n, code.q) == 1
+            assert len(rll_suffix.index_sets(code.n, code.q).data) == 1
             for digit in (0, 1):
                 x = rll_suffix.encode([digit], code)
                 assert rll_suffix.recover_data(x, code) == [digit]
@@ -710,8 +726,37 @@ class TestInputBoundary:
                 lambda: fileio.ArrayFile("array", 3, 2, rows=[iter([0, 1]), iter([2, 0])]),
                 "expected a 2x2 array, row 1 is not a sequence",
             ),
+            (lambda: crisscross.corrupt(5, 1, 1), "input must be a square array of dimension >= 2"),
+            (
+                lambda: crisscross.corrupt([[0, 1], 5], 1, 1),
+                "input must be a square array of dimension >= 2",
+            ),
+            (
+                lambda: crisscross.corrupt([iter([0, 1]), iter([1, 0])], 1, 1),
+                "input must be a square array of dimension >= 2",
+            ),
+            (
+                lambda: rll_suffix.decode(5, crisscross.first_row_params(CodeParams(11, 3))),
+                "received word = 5 is not a sequence of symbols",
+            ),
+            (
+                lambda: rll_suffix.is_member(5, crisscross.first_row_params(CodeParams(11, 3))),
+                "sequence = 5 is not a sequence of symbols",
+            ),
+            (
+                lambda: rll_suffix.recover_data(5, crisscross.first_row_params(CodeParams(11, 3))),
+                "sequence = 5 is not a sequence of symbols",
+            ),
+            (
+                lambda: rll_suffix.RllSuffixParams(5, 3, 5),
+                "suffix = 5 is not a sequence of symbols",
+            ),
         ],
-        ids=["encode", "decode", "recover_data", "check_symbols", "rll_encode", "ArrayFile"],
+        ids=[
+            "encode", "decode", "recover_data", "check_symbols", "rll_encode", "ArrayFile",
+            "corrupt", "corrupt_row", "corrupt_iterators", "rll_decode", "rll_is_member",
+            "rll_recover_data", "rll_params",
+        ],
     )
     def test_a_non_sequence_is_a_value_error(self, call, message):
         with pytest.raises(ValueError) as refused:

@@ -68,10 +68,15 @@ class TestIndexSets:
         assert rll_suffix.index_sets(8, 9) == (1, (1, 8), (5, 6, 7), (2, 3, 4))
 
     def test_too_small(self):
-        with pytest.raises(ValueError):
-            rll_suffix.index_sets(5, 3)  # cannot reserve three high positions
-        with pytest.raises(ValueError):
-            rll_suffix.index_sets(6, 3)  # no data positions left
+        # One refusal: fewer than four non-power positions, i.e. n < t + 5.
+        for q in (3, 4, 7):
+            for n in range(1, 13):
+                t = rll_suffix.int_log_floor(q - 1, n)
+                if n < t + 5:
+                    with pytest.raises(ValueError, match=f"^body length n={n} leaves no data"):
+                        rll_suffix.index_sets(n, q)
+                else:
+                    assert len(rll_suffix.index_sets(n, q).data) == n - t - 4 >= 1
         with pytest.raises(ValueError, match="^base must be >= 2"):
             rll_suffix.index_sets(7, 2)  # alphabet below 3
         with pytest.raises(ValueError, match="^value must be >= 1"):
@@ -88,12 +93,12 @@ class TestIndexSets:
                 assert sorted(non_power[:3]) == list(high)
                 everything = sorted(power + high + data)
                 assert everything == list(range(1, n + 1))
-                assert len(data) == n - t - 4 == rll_suffix.data_length(n, q)
+                assert len(data) == n - t - 4
                 assert len(data) >= 1
 
     def test_data_length_small_binary_body(self):
         # floor(log_2 8) = 3, so a body of 8 over q=3 carries one symbol.
-        assert rll_suffix.data_length(8, 3) == 1
+        assert len(rll_suffix.index_sets(8, 3).data) == 1
 
 
 class TestEncode:
@@ -163,7 +168,7 @@ class TestEncode:
         assert len(seen) == 32  # encoding is injective
 
     def test_round_trip_nonzero_residue(self):
-        width = rll_suffix.data_length(12, 5)
+        width = len(rll_suffix.index_sets(12, 5).data)
         residues = set()
         for suffix in rll_words(3, 5):
             params = RllSuffixParams(12, 5, suffix)
@@ -205,7 +210,7 @@ class TestEncode:
     def test_output_failing_membership_is_encoding_error(self, monkeypatch):
         monkeypatch.setattr(rll_suffix, "is_member", lambda x, params: False)
         with pytest.raises(EncodingError, match="outside its own code"):
-            rll_suffix.encode([0] * rll_suffix.data_length(7, 7), GOLDEN_PARAMS)
+            rll_suffix.encode([0] * len(rll_suffix.index_sets(7, 7).data), GOLDEN_PARAMS)
 
 
 def greedy_overflows(n, m, q):
@@ -290,6 +295,14 @@ class TestDecode:
         for call in (rll_suffix.is_member, rll_suffix.recover_data):
             with pytest.raises(ValueError, match="sequence of length 9, got 8"):
                 call(GOLDEN_CODEWORD_1D[1:], GOLDEN_PARAMS)
+
+    def test_one_shot_words(self):
+        # A word without a length is read once into a list.
+        assert rll_suffix.is_member(iter(GOLDEN_CODEWORD_1D), GOLDEN_PARAMS)
+        assert rll_suffix.recover_data(iter(GOLDEN_CODEWORD_1D), GOLDEN_PARAMS) == [0, 3]
+        assert rll_suffix.decode(iter(GOLDEN_CODEWORD_1D[1:]), GOLDEN_PARAMS).position == 1
+        with pytest.raises(ValueError, match="received word of length 8, got 7"):
+            rll_suffix.decode(iter(GOLDEN_CODEWORD_1D[2:]), GOLDEN_PARAMS)
 
 
 class TestRecoverData:

@@ -33,6 +33,13 @@ def test_refuses_fewer_than_one_trial(trials):
         selftest.run_selftest(11, 3, trials=trials)
 
 
+@pytest.mark.parametrize("n, q, trials", [(11, 3, 1.5), ("a", 3, 1), (11, 3, "2")])
+def test_non_integer_arguments_are_value_errors(n, q, trials):
+    with pytest.raises(ValueError, match="must be an integer") as refused:
+        selftest.run_selftest(n, q, trials)
+    assert type(refused.value) is ValueError
+
+
 def test_report_lines_format():
     report = selftest.run_selftest(11, 3, trials=1, seed=5)
     lines = report.lines()
