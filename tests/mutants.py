@@ -339,6 +339,33 @@ MUTANTS = [
         "required=True)",
         "killed",
     ),
+    # Killed by test_selftest.py::test_round_trip_suite_notices_wrong_decodes
+    # and test_cli.py::TestSelftestCommand::test_property_failure_is_exit_3.
+    Mutant(
+        "selftest-decode-not-compared",
+        "selftest.py",
+        "if decoded != X:",
+        "if False:",
+        "killed",
+    ),
+    # Killed by test_selftest.py::test_round_trip_suite_notices_wrong_recovery
+    # and test_cli.py::TestSelftestCommand::test_wrong_recovery_is_exit_3.
+    Mutant(
+        "selftest-recovery-not-compared",
+        "selftest.py",
+        "if crisscross.recover_data(X, params) != data:",
+        "if False:",
+        "killed",
+    ),
+    # Killed by the seed-* inputs of
+    # test_selftest.py::test_non_integer_arguments_are_value_errors.
+    Mutant(
+        "selftest-seed-not-checked",
+        "selftest.py",
+        '_plain_int("seed", seed)',
+        "seed",
+        "killed",
+    ),
 ]
 
 

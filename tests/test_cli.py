@@ -74,6 +74,37 @@ class TestPipeline:
         assert main(["encode", "--n", "9", "--q", "7", "--data", str(data_path)]) == 0
         assert capsys.readouterr().out == fileio.dumps(ARRAY_FILE)
 
+    def test_array_checks_per_command(self, tmp_path, monkeypatch):
+        # A pin, not a bound: a change that drops an array check updates it.
+        # fileio and crisscross both look check_array up through the module.
+        calls = []
+        check_array = crisscross.check_array
+
+        def counting(*args):
+            calls.append(args)
+            return check_array(*args)
+
+        monkeypatch.setattr(crisscross, "check_array", counting)
+        params = crisscross.CodeParams(11, 5)
+        symbols = [k % 5 for k in range(crisscross.message_lengths(params).total)]
+        data = fileio.dumps(ArrayFile("data", 5, 11, symbols=symbols))
+        (tmp_path / "data.json").write_text(data)
+        commands = {
+            "encode": ["--n", "11", "--q", "5", "--data", "data.json", "--out", "array.json"],
+            "corrupt": ["--in", "array.json", "--row", "3", "--col", "7", "--out", "rx.json"],
+            "decode": ["--in", "rx.json", "--out", "decoded.json"],
+            "recover": ["--in", "decoded.json", "--out", "recovered.json"],
+            "verify": ["--in", "decoded.json"],
+        }
+        monkeypatch.chdir(tmp_path)
+        counts = {}
+        for name, args in commands.items():
+            calls.clear()
+            assert main([name, *args]) == 0
+            counts[name] = len(calls)
+        assert counts == {"encode": 1, "corrupt": 2, "decode": 4, "recover": 2, "verify": 2}
+        assert (tmp_path / "recovered.json").read_text() == data
+
 
 class TestVerify:
     def test_codeword(self, capsys, array_path):
@@ -282,16 +313,31 @@ class TestCount:
 class TestSelftestCommand:
     def test_pass(self, capsys):
         assert main(["selftest", "--n", "11", "--q", "3", "--trials", "1"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("selftest n=11 q=3 seed=0")
-        assert "round-trip: PASS" in out
+        header, result = capsys.readouterr().out.splitlines()
+        assert header == "selftest n=11 q=3 seed=0"
+        assert result.startswith("  round-trip: PASS")
 
     def test_property_failure_is_exit_3(self, capsys, monkeypatch):
         monkeypatch.setattr(
             crisscross, "decode", lambda Y, params: [[0] * params.n for _ in range(params.n)]
         )
         assert main(["selftest", "--n", "11", "--q", "3", "--trials", "1"]) == 3
-        assert "round-trip: FAIL" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "round-trip: FAIL" in out
+        assert "decode mismatch at trial=0 i=1 j=1 seed=0" in out
+
+    def test_wrong_recovery_is_exit_3(self, capsys, monkeypatch):
+        def change_first_symbol(X, params):
+            data = recover(X, params)
+            data[0] = (data[0] + 1) % params.q
+            return data
+
+        recover = crisscross.recover_data
+        monkeypatch.setattr(crisscross, "recover_data", change_first_symbol)
+        assert main(["selftest", "--n", "11", "--q", "3", "--trials", "1", "--seed", "4"]) == 3
+        out = capsys.readouterr().out
+        assert "round-trip: FAIL" in out
+        assert "recover(encode(data)) != data at trial=0 seed=4" in out
 
     def test_below_proven_range_is_exit_2(self, capsys):
         assert main(["selftest", "--n", "10", "--q", "3", "--trials", "1"]) == 2

@@ -1,6 +1,8 @@
-"""Self-test harness: suites pass on healthy code, fail on planted bugs."""
+"""Self-test harness: the round trip passes on healthy code, fails on planted bugs."""
 
 from __future__ import annotations
+
+import re
 
 import pytest
 
@@ -11,10 +13,8 @@ from crisscodec.errors import EncodingError
 def test_passes_at_proven_parameters():
     report = selftest.run_selftest(11, 3, trials=2, seed=0)
     assert report.ok
-    names = [r.name for r in report.results]
-    assert names == ["round-trip", "discriminator"]
-    for result in report.results:
-        assert result.passed
+    assert (report.n, report.q, report.seed) == (11, 3, 0)
+    assert report.detail == "2 trials x 121 deletions"
 
 
 def test_passes_at_unproven_parameters():
@@ -33,21 +33,23 @@ def test_refuses_fewer_than_one_trial(trials):
         selftest.run_selftest(11, 3, trials=trials)
 
 
-@pytest.mark.parametrize("n, q, trials", [(11, 3, 1.5), ("a", 3, 1), (11, 3, "2")])
-def test_non_integer_arguments_are_value_errors(n, q, trials):
+@pytest.mark.parametrize(
+    "n, q, trials, seed",
+    [(11, 3, 1.5, 0), ("a", 3, 1, 0), (11, 3, "2", 0), (11, 3, 1, [1]), (11, 3, 1, 1.5),
+     (11, 3, 1, "7")],
+    ids=["11-3-1.5", "a-3-1", "11-3-2", "seed-list", "seed-float", "seed-str"],
+)
+def test_non_integer_arguments_are_value_errors(n, q, trials, seed):
     with pytest.raises(ValueError, match="must be an integer") as refused:
-        selftest.run_selftest(n, q, trials)
+        selftest.run_selftest(n, q, trials, seed=seed)
     assert type(refused.value) is ValueError
 
 
 def test_report_lines_format():
     report = selftest.run_selftest(11, 3, trials=1, seed=5)
-    lines = report.lines()
-    assert lines[0] == "selftest n=11 q=3 seed=5"
-    assert len(lines) == 1 + len(report.results)
-    for line, result in zip(lines[1:], report.results):
-        assert result.name in line
-        assert "PASS" in line
+    header, result = report.lines()
+    assert header == "selftest n=11 q=3 seed=5"
+    assert re.fullmatch(r"  round-trip: PASS \(1 trials x 121 deletions\) \[\d+\.\d\ds\]", result)
 
 
 def test_round_trip_suite_notices_wrong_decodes(monkeypatch):
@@ -60,12 +62,19 @@ def test_round_trip_suite_notices_wrong_decodes(monkeypatch):
     monkeypatch.setattr(crisscross, "decode", lambda Y, params: flip_corner(decode(Y, params)))
     report = selftest.run_selftest(11, 3, trials=1, seed=7)
     assert not report.ok
-    by_name = {r.name: r for r in report.results}
-    round_trip = by_name["round-trip"]
-    assert not round_trip.passed
+    assert report.lines()[1].startswith("  round-trip: FAIL (121 failures, first: ")
     # the failure detail carries a usable reproducer
-    assert "seed=7" in round_trip.detail
-    assert "trial=" in round_trip.detail
-    assert "i=" in round_trip.detail and "j=" in round_trip.detail
-    # the discriminator suite is unaffected by the planted decode bug
-    assert by_name["discriminator"].passed
+    assert report.detail.endswith("decode mismatch at trial=0 i=1 j=1 seed=7")
+
+
+def test_round_trip_suite_notices_wrong_recovery(monkeypatch):
+    def change_first_symbol(X, params):
+        data = recover(X, params)
+        data[0] = (data[0] + 1) % params.q
+        return data
+
+    recover = crisscross.recover_data
+    monkeypatch.setattr(crisscross, "recover_data", change_first_symbol)
+    report = selftest.run_selftest(11, 3, trials=2, seed=7)
+    assert not report.ok
+    assert report.detail == "2 failures, first: recover(encode(data)) != data at trial=0 seed=7"
