@@ -137,8 +137,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 
 _OUT = ("--out", {"help": "output file (stdout when omitted)"})
-_N = ("--n", {"type": int, "required": True})
-_Q = ("--q", {"type": int, "required": True})
+_N = ("--n", {"type": int, "required": True, "help": "array dimension"})
+_Q = ("--q", {"type": int, "required": True, "help": "alphabet size"})
 
 
 def _in(what: str) -> tuple[str, dict]:
@@ -149,8 +149,8 @@ def _in(what: str) -> tuple[str, dict]:
 # name -> (handler, help text, (flag, add_argument options) per argument)
 COMMANDS = {
     "encode": (cmd_encode, "encode a data file into a codeword array", (
-        ("--n", {"type": int, "required": True, "help": "array dimension"}),
-        ("--q", {"type": int, "required": True, "help": "alphabet size"}),
+        _N,
+        _Q,
         ("--data", {"required": True, "help": "input data file (kind 'data')"}),
         _OUT,
     )),

@@ -52,7 +52,7 @@ from typing import Iterable, NamedTuple, Sequence, Sized
 
 from . import rll_suffix, vt_core
 from .errors import DecodingError, EncodingError
-from .rll_suffix import RllSuffixParams, _plain_int, from_digits, int_log_floor, to_digits
+from .rll_suffix import RllSuffixParams, from_digits, int_log_floor, to_digits
 
 Array = list[list[int]]
 
@@ -68,7 +68,7 @@ class CodeParams(NamedTuple("CodeParams", [("n", int), ("q", int)])):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, n: int, q: int) -> CodeParams:
-        n, q = _plain_int("n", n), _plain_int("q", q)
+        n, q = vt_core.plain_int("n", n), vt_core.plain_int("q", q)
         if n < 4:
             raise ValueError(f"array dimension must be >= 4, got n={n}")
         if q < 3:
@@ -245,7 +245,7 @@ def corrupt(X: Sequence[Sequence[int]], i: int, j: int) -> Array:
     if not square:
         raise ValueError("input must be a square array of dimension >= 2")
     for name, index in (("row", i), ("column", j)):
-        if not 1 <= _plain_int(f"{name} index", index) <= n:
+        if not 1 <= vt_core.plain_int(f"{name} index", index) <= n:
             raise ValueError(f"{name} index must be an integer in [1, {n}], got {index!r}")
     return [
         list(row[: j - 1]) + list(row[j:])

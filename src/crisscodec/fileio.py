@@ -8,13 +8,13 @@ One self-describing schema covers all three payload kinds:
 
 `n` always records the code dimension, so a received array remembers
 what it was cut from.  Rows are checked by the codec's own array check,
-`crisscross.check_array`, so a bad file reads the same error as a bad
-array passed to the codec: "expected a 9x9 array, row 3 has 8 entries",
-or "row 3[5] = 7 is outside the alphabet [0, 7)" for a 1-based row and
-a 0-based entry.  Serialization is canonical (fixed key order, one
-row per line, trailing newline): equal values produce byte-identical
-files, and parsing then serializing a canonical file reproduces it
-exactly.
+`crisscross.check_array`, so a bad file, a row that is not a list
+included, reads the same error as a bad array passed to the codec:
+"expected a 9x9 array, row 3 has 8 entries", or "row 3[5] = 7 is
+outside the alphabet [0, 7)" for a 1-based row and a 0-based entry.
+Serialization is canonical (fixed key order, one row per line, trailing
+newline): equal values produce byte-identical files, and parsing then
+serializing a canonical file reproduces it exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from . import crisscross, vt_core
-from .rll_suffix import _plain_int
 
 KINDS = ("array", "received", "data")
 
@@ -54,7 +53,7 @@ class ArrayFile(
     ) -> ArrayFile:
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-        q, n = _plain_int("q", q, 2), _plain_int("n", n, 2)
+        q, n = vt_core.plain_int("q", q, 2), vt_core.plain_int("n", n, 2)
         if kind == "data":
             if rows is not None or symbols is None:
                 raise ValueError('kind "data" carries "symbols", not "rows"')
@@ -81,18 +80,9 @@ def loads(text: str) -> ArrayFile:
     expected = {"kind", "q", "n", payload_key}
     if set(raw) != expected:
         raise ValueError(f"expected exactly the keys {sorted(expected)}, got {sorted(raw)}")
-    payload = raw[payload_key]
-    if not isinstance(payload, list):
+    if not isinstance(raw[payload_key], list):
         raise ValueError(f'"{payload_key}" must be a list')
-    if payload_key == "rows" and not all(isinstance(r, list) for r in payload):
-        raise ValueError('"rows" must be a list of lists')
-    return ArrayFile(
-        kind=raw["kind"],
-        q=raw["q"],
-        n=raw["n"],
-        rows=raw.get("rows"),
-        symbols=raw.get("symbols"),
-    )
+    return ArrayFile(**raw)
 
 
 def dumps(f: ArrayFile) -> str:

@@ -22,22 +22,10 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from numbers import Integral
 from typing import NamedTuple, Sequence
 
 from . import vt_core
 from .errors import DecodingError, EncodingError
-
-
-def _plain_int(name: str, value: int, minimum: int | None = None) -> int:
-    """value as a plain int; raises unless it is an integer other than bool,
-    and at least minimum if one is given."""
-    if type(value) is not int and not isinstance(value, bool) and isinstance(value, Integral):
-        value = int(value)
-    if type(value) is not int or minimum is not None and value < minimum:
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
-    return value
 
 
 class RllSuffixParams(NamedTuple("RllSuffixParams", [("n", int), ("q", int), ("b", tuple)])):
@@ -51,7 +39,7 @@ class RllSuffixParams(NamedTuple("RllSuffixParams", [("n", int), ("q", int), ("b
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, n: int, q: int, b: Sequence[int]) -> RllSuffixParams:
-        n, q = _plain_int("n", n), _plain_int("q", q)
+        n, q = vt_core.plain_int("n", n), vt_core.plain_int("q", q)
         if q < 3:
             raise ValueError(f"alphabet size must be >= 3, got q={q}")
         if n < 1:

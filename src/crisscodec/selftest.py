@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from . import crisscross
 from .crisscross import CodeParams
-from .rll_suffix import _plain_int
+from .vt_core import plain_int
 
 WORK_GUARD = 10**10
 
@@ -49,7 +49,7 @@ def run_selftest(n: int, q: int, trials: int, seed: int = 0) -> SelfTestReport:
     """Round-trip trials random messages through every deletion at (n, q)."""
     params = CodeParams(n, q)
     n, q = params.n, params.q
-    trials, seed = _plain_int("trials", trials), _plain_int("seed", seed)
+    trials, seed = plain_int("trials", trials), plain_int("seed", seed)
     if trials < 1:
         raise ValueError(f"need at least one trial, got trials={trials}")
     if trials * n**4 > WORK_GUARD:

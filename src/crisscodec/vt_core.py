@@ -36,6 +36,21 @@ class DeletionDecode(NamedTuple):
     position: int
 
 
+def plain_int(name: str, value: int, minimum: int | None = None) -> int:
+    """value as a plain int; raises ValueError unless it is an integer other
+    than bool, and at least minimum if one is given.
+
+    This is the package's one integer rule; check_symbols applies the same
+    rule to each symbol.
+    """
+    if type(value) is not int and not isinstance(value, bool) and isinstance(value, Integral):
+        value = int(value)
+    if type(value) is not int or minimum is not None and value < minimum:
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return value
+
+
 def check_symbols(x: Sequence[int], q: int, name: str = "sequence") -> Sequence[int]:
     """Return x as plain ints, raising ValueError unless every symbol lies in {0, ..., q-1}.
 

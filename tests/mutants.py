@@ -3,8 +3,10 @@
 Each entry of MUTANTS replaces one anchor text, which occurs exactly once
 under src/, in one package file.  Its expected verdict is "killed" (some
 Tier-1 test fails) or "equivalent: <why>" (no input tells the mutant
-apart, so every test passes).  A Tier-1 test checks that the anchors are
-still unique; this script runs the mutants themselves.  Standard library
+apart, so every test passes).  A killed mutant may name its killer, the
+test written to catch it, which must then fail on it too.  A Tier-1 test
+checks that the anchors are still unique and that each killer exists;
+this script runs the mutants themselves.  Standard library
 only.  From the repository root:
 
     python tests/mutants.py [NAME ...]
@@ -13,9 +15,11 @@ It first runs Tier-1 on an unmutated copy and deselects the tests that
 fail there, so that a failure of the environment (a console script that
 is not installed, say) is not taken for a kill.  Then, one mutant after
 another, it copies the tree to a temporary directory, applies the
-replacement and runs Tier-1 with -x, less the anchor check.  It prints
-one JSON line with each mutant's verdict, first failing test and
-seconds, and exits 1 if any verdict differs from the expected one.
+replacement, runs the mutant's killer alone if it names one, and runs
+Tier-1 with -x, less the anchor check.  It prints one JSON line with
+each mutant's verdict, first failing test, killer outcome and seconds,
+and exits 1 if any verdict differs from the expected one or a killer
+passes.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ class Mutant(NamedTuple):
     anchor: str
     replacement: str
     expected: str  # "killed", or "equivalent: <one-line reason>"
+    killer: str | None = None  # id of a test that must fail on this mutant
 
 
 MUTANTS = [
@@ -124,8 +129,8 @@ MUTANTS = [
     Mutant(
         "rll-params-accept-bool-n",
         "rll_suffix.py",
-        'n, q = _plain_int("n", n), _plain_int("q", q)\n        if q < 3:',
-        'n, q = _plain_int("n", int(n)), _plain_int("q", q)\n        if q < 3:',
+        'n, q = vt_core.plain_int("n", n), vt_core.plain_int("q", q)\n        if q < 3:',
+        'n, q = vt_core.plain_int("n", int(n)), vt_core.plain_int("q", q)\n        if q < 3:',
         "killed",
     ),
     Mutant(
@@ -145,8 +150,8 @@ MUTANTS = [
     Mutant(
         "code-params-not-coerced",
         "crisscross.py",
-        'n, q = _plain_int("n", n), _plain_int("q", q)\n        if n < 4:',
-        '_plain_int("n", n), _plain_int("q", q)\n        if n < 4:',
+        'n, q = vt_core.plain_int("n", n), vt_core.plain_int("q", q)\n        if n < 4:',
+        'vt_core.plain_int("n", n), vt_core.plain_int("q", q)\n        if n < 4:',
         "killed",
     ),
     Mutant(
@@ -291,13 +296,6 @@ MUTANTS = [
         "killed",
     ),
     Mutant(
-        "loads-rows-of-non-lists",
-        "fileio.py",
-        'if payload_key == "rows" and not all(isinstance(r, list) for r in payload):',
-        "if False:",
-        "killed",
-    ),
-    Mutant(
         "rll-high-data-split-shifted",
         "rll_suffix.py",
         "return IndexSets(t, power, rest[-3:], rest[:-3])",
@@ -307,15 +305,15 @@ MUTANTS = [
     Mutant(
         "corrupt-no-upper-index-bound",
         "crisscross.py",
-        'if not 1 <= _plain_int(f"{name} index", index) <= n:',
-        'if not 1 <= _plain_int(f"{name} index", index):',
+        'if not 1 <= vt_core.plain_int(f"{name} index", index) <= n:',
+        'if not 1 <= vt_core.plain_int(f"{name} index", index):',
         "killed",
     ),
     Mutant(
         "array-file-q-n-not-coerced",
         "fileio.py",
-        'q, n = _plain_int("q", q, 2), _plain_int("n", n, 2)',
-        '_plain_int("q", q, 2), _plain_int("n", n, 2)',
+        'q, n = vt_core.plain_int("q", q, 2), vt_core.plain_int("n", n, 2)',
+        'vt_core.plain_int("q", q, 2), vt_core.plain_int("n", n, 2)',
         "killed",
     ),
     Mutant(
@@ -339,32 +337,39 @@ MUTANTS = [
         "required=True)",
         "killed",
     ),
-    # Killed by test_selftest.py::test_round_trip_suite_notices_wrong_decodes
-    # and test_cli.py::TestSelftestCommand::test_property_failure_is_exit_3.
     Mutant(
         "selftest-decode-not-compared",
         "selftest.py",
         "if decoded != X:",
         "if False:",
         "killed",
+        "tests/test_selftest.py::test_round_trip_suite_notices_wrong_decodes",
     ),
-    # Killed by test_selftest.py::test_round_trip_suite_notices_wrong_recovery
-    # and test_cli.py::TestSelftestCommand::test_wrong_recovery_is_exit_3.
     Mutant(
         "selftest-recovery-not-compared",
         "selftest.py",
         "if crisscross.recover_data(X, params) != data:",
         "if False:",
         "killed",
+        "tests/test_selftest.py::test_round_trip_suite_notices_wrong_recovery",
     ),
-    # Killed by the seed-* inputs of
-    # test_selftest.py::test_non_integer_arguments_are_value_errors.
     Mutant(
         "selftest-seed-not-checked",
         "selftest.py",
-        '_plain_int("seed", seed)',
+        'plain_int("seed", seed)',
         "seed",
         "killed",
+        "tests/test_selftest.py::test_non_integer_arguments_are_value_errors",
+    ),
+    # Only an in-process run_selftest call can kill it: the cli turns the
+    # DecodingError that then escapes into exit 3 as well.
+    Mutant(
+        "selftest-decode-errors-escape",
+        "selftest.py",
+        "except Exception as exc:",
+        "except ArithmeticError as exc:",
+        "killed",
+        "tests/test_selftest.py::test_round_trip_suite_reports_decode_errors",
     ),
 ]
 
@@ -411,6 +416,10 @@ def run(mutants: list[Mutant]) -> dict:
             if text.count(mutant.anchor) != 1:
                 raise SystemExit(f"{mutant.name}: the anchor does not occur exactly once")
             path.write_text(text.replace(mutant.anchor, mutant.replacement))
+            killer_failed = None
+            if mutant.killer:
+                code, _, _ = _tier1(tree, [mutant.killer], timeout=max(120, 10 * seconds))
+                killer_failed = code == 1
             # The anchor check fails on every mutated tree, so it kills nothing.
             extra = ["-x", "--ignore", "tests/test_mutants.py", *deselect]
             code, failed, took = _tier1(tree, extra, timeout=max(120, 10 * seconds))
@@ -423,8 +432,10 @@ def run(mutants: list[Mutant]) -> dict:
                     "file": mutant.file,
                     "verdict": verdict,
                     "expected": mutant.expected,
-                    "as_expected": verdict == expected,
+                    "as_expected": verdict == expected and killer_failed is not False,
                     "first_failure": failed[0] if failed else None,
+                    "killer": mutant.killer,
+                    "killer_failed": killer_failed,
                     "seconds": round(took, 1),
                 }
             )

@@ -267,8 +267,16 @@ class TestLoads:
     def test_rejects_non_list_payloads(self):
         with pytest.raises(ValueError, match="list"):
             fileio.loads('{"kind": "data", "q": 3, "n": 9, "symbols": 5}')
-        with pytest.raises(ValueError, match="list of lists"):
-            fileio.loads('{"kind": "array", "q": 3, "n": 2, "rows": [[0, 1], 3]}')
+        with pytest.raises(ValueError, match='^"rows" must be a list$'):
+            fileio.loads('{"kind": "array", "q": 3, "n": 2, "rows": null}')
+        # A row that is not a list gets the codec's own error for that array.
+        for rows in ([[0, 1], 3], [[0, 1], "ab"], [[0, 1], {"a": 1, "b": 2}]):
+            with pytest.raises(ValueError) as codec:
+                crisscross.check_array(rows, 2, 2, 3)
+            text = json.dumps({"kind": "array", "q": 3, "n": 2, "rows": rows})
+            with pytest.raises(ValueError) as parsed:
+                fileio.loads(text)
+            assert str(parsed.value) == str(codec.value)
 
 
 class TestFiles:

@@ -119,6 +119,17 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert not unused, f"only the tests call {unused}; move them into tests/"
 
 
+def test_no_module_uses_a_private_name_of_another():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    private = sorted(
+        f"{module} uses {owner}.{name}"
+        for module, tree in trees.items()
+        for owner, name in _uses(module, tree, set(trees))
+        if owner != module and name.startswith("_")
+    )
+    assert not private
+
+
 def test_every_module_reference_in_the_docs_resolves():
     """Each `module.name` token in README.md or a package source, whose module
     is a crisscodec module, names an attribute that exists."""

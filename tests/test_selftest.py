@@ -7,7 +7,7 @@ import re
 import pytest
 
 from crisscodec import crisscross, selftest
-from crisscodec.errors import EncodingError
+from crisscodec.errors import DecodingError, EncodingError
 
 
 def test_passes_at_proven_parameters():
@@ -78,3 +78,14 @@ def test_round_trip_suite_notices_wrong_recovery(monkeypatch):
     report = selftest.run_selftest(11, 3, trials=2, seed=7)
     assert not report.ok
     assert report.detail == "2 failures, first: recover(encode(data)) != data at trial=0 seed=7"
+
+
+def test_round_trip_suite_reports_decode_errors(monkeypatch):
+    def refuse(Y, params):
+        raise DecodingError("planted refusal")
+
+    monkeypatch.setattr(crisscross, "decode", refuse)
+    report = selftest.run_selftest(11, 3, 1, seed=7)
+    assert not report.ok
+    assert report.lines()[1].startswith("  round-trip: FAIL (121 failures, first: ")
+    assert report.detail.endswith("decode raised DecodingError at trial=0 i=1 j=1 seed=7")
