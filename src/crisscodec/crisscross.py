@@ -247,11 +247,11 @@ def corrupt(X: Sequence[Sequence[int]], i: int, j: int) -> Array:
     for name, index in (("row", i), ("column", j)):
         if not 1 <= vt_core.plain_int(f"{name} index", index) <= n:
             raise ValueError(f"{name} index must be an integer in [1, {n}], got {index!r}")
-    return [
-        list(row[: j - 1]) + list(row[j:])
-        for r, row in enumerate(X)
-        if r != i - 1
-    ]
+    Y = [list(row) for row in X]
+    del Y[i - 1]
+    for row in Y:
+        del row[j - 1]
+    return Y
 
 
 def message_lengths(params: CodeParams) -> MessageLengths:

@@ -47,7 +47,7 @@ class RllSuffixParams(NamedTuple("RllSuffixParams", [("n", int), ("q", int), ("b
         b = tuple(vt_core.check_symbols(b, q, "suffix"))
         if not b:
             raise ValueError("suffix must be non-empty")
-        if not vt_core.adjacent_distinct(b):
+        if 0 in vt_core.diff(b, q)[:-1]:
             raise ValueError(f"suffix {b} has equal adjacent symbols")
         return super().__new__(cls, n, q, b)
 
@@ -222,8 +222,8 @@ def _differential(x: Sequence[int], params: RllSuffixParams) -> list[int] | None
     """diff(x) if x is a codeword of RLL_DVT_0(n, m; b), else None.
 
     Raises ValueError unless x has the code length and lies in the alphabet.
-    x repeats a symbol exactly where its differential is 0 before the last
-    position, so the 1-RLL test reads y rather than x again.
+    The 1-RLL test is the run-length rule of vt_core on y, so x is not
+    read again.
     """
     x = _sized(x, params.length, params.q, "sequence")
     y = vt_core.dvt_differential(x, params.q)

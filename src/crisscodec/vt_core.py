@@ -8,6 +8,10 @@ one symbol deletion.  The codec decodes only run-length-limited words,
 with no two equal adjacent symbols, and for those `decode_rll_deletion`
 pins down the deletion position exactly.
 
+The package has one run-length rule: x has two equal adjacent symbols
+exactly where diff(x) is 0 before its last entry, so every run-length
+test reads the differential as `0 in y[:-1]` or its local form.
+
 Sequences are plain lists of ints; the kernels take the alphabet size q
 and read the length from the word.  Positions in the public API are
 1-based.
@@ -16,9 +20,9 @@ and read the length from the word.  Positions in the public API are
 from __future__ import annotations
 
 import reprlib
-from itertools import count, islice, repeat
+from itertools import accumulate, count, islice, repeat
 from numbers import Integral
-from operator import countOf, mod, mul, ne, sub
+from operator import countOf, mod, mul, sub
 from typing import NamedTuple, Sequence
 
 from .errors import DecodingError
@@ -108,68 +112,60 @@ def syndrome(y: Sequence[int]) -> int:
     return sum(map(mul, y, count(1)))
 
 
-def adjacent_distinct(x: Sequence[int]) -> bool:
-    """True when no two adjacent symbols of x are equal."""
-    return all(map(ne, x, islice(x, 1, None)))
-
-
 def dvt_differential(x: Sequence[int], q: int) -> list[int] | None:
     """diff(x) if x is a codeword of DVT_0(len(x); q), else None; raises on a bad alphabet."""
     y = diff(check_symbols(x, q), q)
-    return y if syndrome(y) % (q * len(x)) == 0 else None
+    return y if syndrome(y) % (q * len(y)) == 0 else None
 
 
 def decode_rll_deletion(received: Sequence[int], q: int) -> DeletionDecode:
     """Recover the codeword of DVT_0(n; q), n = len(received) + 1, with
     distinct adjacent symbols that lost one symbol.
 
-    Inserting a symbol at position p of the received word w replaces the
-    differential y(w) with a word that agrees with it outside positions
-    p-1, p and whose syndrome exceeds syndrome(y(w)) by
-    tail(p) + beta + (p-1)*q*delta, where tail(p) is the suffix sum of
-    y(w) from position p, beta is the new differential at position p and
-    delta is 0 or 1 according to whether the split of the old
-    differential y(w)_{p-1} = alpha + beta - q*delta wraps around q.
-    For each (p, delta) the membership congruence then fixes beta modulo
-    q*n, so at most one inserted symbol works: no per-symbol search is
-    needed.  DVT_0 corrects one deletion, so its single-deletion balls
-    are disjoint and at most one codeword yields the received word; a
+    Inserting a symbol at position p of the received word w replaces
+    its differential z = diff(w) at position p-1 by two entries: alpha,
+    the step from the symbol before the insertion to the inserted one,
+    and beta, the step from the inserted symbol to the one after it (at
+    p = n, the inserted symbol itself).  They split the old entry as
+    z_{p-1} = alpha + beta - q*delta, with delta 0 or 1 according to
+    whether the split wraps around q; at p = 1 nothing is split and only
+    beta is new.  The syndrome grows by tail(p) + beta + (p-1)*q*delta,
+    where tail(p) is the sum of z from position p, so for each (p, delta)
+    the membership congruence fixes beta modulo q*n and at most one
+    inserted symbol works: no per-symbol search is needed.
+
+    The word is run-length limited where its differential is nonzero
+    before the last entry.  The insertion removes only the entry
+    z_{p-1} it splits and adds alpha and beta, so the codeword has no
+    equal neighbours if and only if z has no zero before its last entry
+    other than z_{p-1}, alpha != 0 and beta != 0; at p = n beta is a
+    symbol and may be 0, and at p = 1 there is no alpha.  Two zeros are
+    more than one insertion removes, so the word is refused at once,
+    and one zero at 0-based index k leaves only p = k + 2 to try.
+
+    DVT_0 corrects one deletion, so its single-deletion balls are
+    disjoint and at most one codeword yields the received word; a
     run-length-limited codeword loses a symbol at exactly one position,
-    so the first such candidate is the only one, and its insertion
-    position p is the exact deletion position.
+    because deleting either of two positions gives the same word only
+    when every symbol between them is equal.  So the first (p, delta)
+    that passes is the only one, and p is the exact deletion position.
     """
-    n = len(received) + 1
+    w = check_symbols(received, q, "received")
+    n = len(w) + 1
     modulus = q * n
-    w = list(check_symbols(received, q, "received"))
     z = diff(w, q)
     syn = syndrome(z)
-
-    # tail[p] = sum of z_p..z_{n-1} over 1-based positions; tail[n] = 0.
-    tail = [0] * (n + 1)
-    for p in range(n - 1, 0, -1):
-        tail[p] = tail[p + 1] + z[p - 1]
-
-    # The insertion in front forces its leading differential alpha.
-    alpha = (-syn - tail[1]) % modulus
-    if alpha < q:
-        candidate = [(w[0] + alpha) % q] + w
-        if adjacent_distinct(candidate):
-            return DeletionDecode(candidate, 1)
-
-    # Insertion at position p >= 2 splits the old differential z_{p-1}.
-    for p in range(2, n + 1):
-        old = z[p - 2]
-        for delta in (0, 1):
-            beta = (-syn - tail[p] - (p - 1) * q * delta) % modulus
-            if beta >= q:
-                continue
-            alpha = old + q * delta - beta
-            if not 0 <= alpha < q:
-                continue
-            symbol = beta if p == n else (w[p - 1] + beta) % q
-            candidate = w[: p - 1] + [symbol] + w[p - 1 :]
-            if adjacent_distinct(candidate):
-                return DeletionDecode(candidate, p)
+    # tail[p - 1] = z_p + ... + z_{n-1} over 1-based positions; tail[n - 1] = 0.
+    tail = [*accumulate(reversed(z), initial=0)][::-1]
+    zeros = z[:-1].count(0)
+    if zeros < 2:
+        for p in [z.index(0) + 2] if zeros else range(1, n + 1):
+            for delta in (0, 1):
+                beta = (-syn - tail[p - 1] - (p - 1) * q * delta) % modulus
+                alpha = z[p - 2] + q * delta - beta  # read only when p > 1
+                if beta < q and (beta or p == n) and (p == 1 or 0 < alpha < q):
+                    symbol = beta if p == n else (w[p - 1] + beta) % q
+                    return DeletionDecode([*w[: p - 1], symbol, *w[p - 1 :]], p)
 
     raise DecodingError(
         f"no run-length-limited codeword of DVT_0({n}; {q}) "

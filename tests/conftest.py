@@ -12,7 +12,9 @@ every row and column deletion, or enumerating whole alphabets -- on
 index loops such as diff_loop, syndrome_loop and adjacent_distinct_loop,
 so they share no code with the optimized paths they check.  Counts too
 large to enumerate are checked against protected_row_count_dp, a DP
-over a plain list of residue counts.
+over a plain list of residue counts.  codewords_over finds every
+codeword over a received array by parity and first_violation alone,
+without the array decoder's locating step.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import configuration
 
-from crisscodec import rll_suffix
+from crisscodec import crisscross, rll_suffix
 
 
 def pytest_configure(config):
@@ -267,6 +269,34 @@ def deletion_ball(X) -> set[tuple[tuple[int, ...], ...]]:
         for i in range(n)
         for j in range(n)
     }
+
+
+def codewords_over(Y, params) -> set[tuple[tuple[int, ...], ...]]:
+    """All codewords whose deletion ball holds the (n-1) x (n-1) array Y.
+
+    Every row and column of a codeword sums to 0 (mod q), so for each
+    deleted (i, j) exactly one such array has Y as its (i, j)-deletion:
+    row i holds Y's column parities, column j its row parities, and the
+    entry at (i, j) is minus the sum of the column parities.  The
+    codewords over Y are those of these n^2 arrays that pass
+    first_violation.  Neither the locating step nor the 1-D decoder is
+    used.
+    """
+    n, q = params.n, params.q
+    rows = [-sum(row) % q for row in Y]
+    cols = [-sum(col) % q for col in zip(*Y)]
+    corner = -sum(cols) % q
+    found = set()
+    for i in range(n):
+        column = rows[:i] + [corner] + rows[i:]
+        for j in range(n):
+            X = [list(row) for row in Y]
+            X.insert(i, list(cols))
+            for row, value in zip(X, column):
+                row.insert(j, value)
+            if crisscross.first_violation(X, params) is None:
+                found.add(tuple(map(tuple, X)))
+    return found
 
 
 def zero_sums(X, q: int) -> bool:

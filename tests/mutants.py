@@ -52,36 +52,40 @@ MUTANTS = [
     Mutant(
         "vt-position-plus-one",
         "vt_core.py",
-        "return DeletionDecode(candidate, p)",
-        "return DeletionDecode(candidate, p + 1)",
+        "return DeletionDecode([*w[: p - 1], symbol, *w[p - 1 :]], p)",
+        "return DeletionDecode([*w[: p - 1], symbol, *w[p - 1 :]], p + 1)",
         "killed",
+        "tests/test_vt_core.py::TestRllDeletionDecode::test_exact_positions_exhaustive",
     ),
     Mutant(
-        "vt-rll-filter-dropped",
+        "vt-alpha-zero-accepted",
         "vt_core.py",
-        "if adjacent_distinct(candidate):\n                return DeletionDecode(candidate, p)",
-        "if True:\n                return DeletionDecode(candidate, p)",
+        "0 < alpha < q",
+        "0 <= alpha < q",
         "killed",
+        "tests/test_vt_core.py::TestDeletionDecode::test_agrees_with_bruteforce_on_every_input",
     ),
     Mutant(
-        "vt-leading-alpha-le-q",
+        "vt-beta-test-dropped",
         "vt_core.py",
-        "if alpha < q:",
-        "if alpha <= q:",
-        "equivalent: alpha = q inserts a copy of w[0] in front, which the RLL test rejects",
+        "(beta or p == n) and ",
+        "",
+        "killed",
+        "tests/test_vt_core.py::TestDeletionDecode::test_agrees_with_bruteforce_on_every_input",
+    ),
+    Mutant(
+        "vt-refuses-from-three-zeros",
+        "vt_core.py",
+        "if zeros < 2:",
+        "if zeros < 3:",
+        "killed",
+        "tests/test_vt_core.py::TestDeletionDecode::test_agrees_with_bruteforce_on_every_input",
     ),
     Mutant(
         "vt-syndrome-from-zero",
         "vt_core.py",
         "return sum(map(mul, y, count(1)))",
         "return sum(map(mul, y, count(0)))",
-        "killed",
-    ),
-    Mutant(
-        "vt-adjacent-skips-one",
-        "vt_core.py",
-        "return all(map(ne, x, islice(x, 1, None)))",
-        "return all(map(ne, x, islice(x, 2, None)))",
         "killed",
     ),
     Mutant(
@@ -125,6 +129,14 @@ MUTANTS = [
         "if y is None or 0 in y[:-1] or",
         "if y is None or 0 in y[1:-1] or",
         "killed",
+    ),
+    Mutant(
+        "rll-suffix-rule-skips-last-pair",
+        "rll_suffix.py",
+        "if 0 in vt_core.diff(b, q)[:-1]:",
+        "if 0 in vt_core.diff(b, q)[:-2]:",
+        "killed",
+        "tests/test_rll_suffix.py::TestParams::test_validation",
     ),
     Mutant(
         "rll-params-accept-bool-n",
@@ -238,6 +250,15 @@ MUTANTS = [
         "if violation is not None:\n        raise DecodingError(",
         "if False:\n        raise DecodingError(",
         "killed",
+    ),
+    Mutant(
+        "decode-refuses-outside-encoder-image",
+        "crisscross.py",
+        "        violation = first_violation(work, params)\n",
+        "        violation = first_violation(work, params) or recover_data(work, params) and None\n",
+        "killed",
+        "tests/test_crisscross.py::TestAdversarialDecode::"
+        "test_rebuilds_a_codeword_outside_the_encoder_image",
     ),
     Mutant(
         "recover-codeword-check-dropped",

@@ -34,6 +34,7 @@ from conftest import (
     SMALL_PAIR_FIRST,
     SMALL_PAIR_Q,
     SMALL_PAIR_SECOND,
+    adjacent_distinct_loop,
     brute_deletion_candidates,
     build_structural_codeword,
     count_arrays_bruteforce,
@@ -180,7 +181,7 @@ def test_acc05_vt_oracle_agreement():
             x = list(word)
             if vt_core.syndrome(vt_core.diff(x, q)) % (q * n):
                 continue
-            rll = vt_core.adjacent_distinct(x)
+            rll = adjacent_distinct_loop(x)
             for d in range(1, n + 1):
                 received = x[: d - 1] + x[d:]
                 assert brute_deletion_candidates(received, q) == [x]

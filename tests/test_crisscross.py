@@ -23,6 +23,7 @@ from conftest import (
     SMALL_PAIR_FIRST,
     SMALL_PAIR_SECOND,
     build_structural_codeword,
+    codewords_over,
     deletion_ball,
     enumerate_protected_words,
     zero_sums,
@@ -566,12 +567,17 @@ class TestDecode:
 
 
 class TestAdversarialDecode:
-    """The decoder never returns a non-codeword, whatever it is given."""
+    """The decoder returns the one codeword over its input, and refuses only when there is none.
+
+    At (8, 7) and (9, 4) tampering reaches codewords outside the encoder's
+    image, which no untampered deletion does.
+    """
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(st.data())
     def test_refuses_or_returns_a_codeword_over_the_input(self, data):
-        n, q = data.draw(st.sampled_from([(11, 3), (12, 5)]), label="(n, q)")
+        points = [(11, 3), (12, 5), (8, 7), (9, 4)]
+        n, q = data.draw(st.sampled_from(points), label="(n, q)")
         params = CodeParams(n, q)
         total = crisscross.message_lengths(params).total
         message = data.draw(
@@ -583,12 +589,31 @@ class TestAdversarialDecode:
         cell = st.tuples(st.integers(0, n - 2), st.integers(0, n - 2), st.integers(0, q - 1))
         for r, c, s in data.draw(st.lists(cell, max_size=2), label="substitutions"):
             Y[r][c] = s
+        expected = codewords_over(Y, params)
+        assert len(expected) <= 1, "two codewords share a deletion"
         try:
             X = crisscross.decode(Y, params)
         except DecodingError:
+            assert not expected, "decode refused an input that a codeword explains"
             return
         assert crisscross.first_violation(X, params) is None
         assert tuple(map(tuple, Y)) in deletion_ball(X)
+        assert {tuple(map(tuple, X))} == expected
+
+    def test_rebuilds_a_codeword_outside_the_encoder_image(self):
+        # At (8, 7) the encoder packs one message symbol into the base-6
+        # data digits of the two protected words, so it reaches 7 of their
+        # 36 digit pairs; the pair (5, 5) gives a codeword it never outputs.
+        params = CodeParams(8, 7)
+        u = rll_suffix.encode([5], crisscross.first_row_params(params))
+        v = rll_suffix.encode([5], crisscross.last_column_params(params))
+        fill = [random.Random(8).randrange(7) for _ in range(crisscross.free_cells(8))]
+        X = build_structural_codeword(8, 7, u, v, fill)
+        with pytest.raises(ValueError, match="outside the encoder image"):
+            crisscross.recover_data(X, params)
+        for i, j in product(range(1, 9), repeat=2):
+            Y = crisscross.corrupt(X, i, j)
+            assert crisscross.decode(Y, params) == X
 
 
 class TestAdversarialRecover:

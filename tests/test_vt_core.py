@@ -67,7 +67,7 @@ class TestSyndrome:
 
 
 class TestKernelsAgainstLoops:
-    """diff, syndrome and adjacent_distinct run in C builtins; index loops are the reference."""
+    """diff and syndrome run in C builtins; index loops are the reference."""
 
     def test_random_words(self):
         rng = random.Random(7)
@@ -79,11 +79,9 @@ class TestKernelsAgainstLoops:
             for word in (x, tuple(x), np.array(x)):
                 assert vt_core.diff(word, q) == diff_loop(word, q)
                 assert vt_core.syndrome(word) == syndrome_loop(word)
-                assert vt_core.adjacent_distinct(word) == adjacent_distinct_loop(word)
 
     def test_empty_word(self):
         assert vt_core.syndrome([]) == syndrome_loop([]) == 0
-        assert vt_core.adjacent_distinct([]) is adjacent_distinct_loop([]) is True
 
 
 class TestCheckSymbols:
@@ -91,6 +89,16 @@ class TestCheckSymbols:
         with pytest.raises(ValueError, match=r"^sequence\[0\] = 7 is outside the alphabet"):
             vt_core.check_symbols(iter([7, 8]), 3)
         assert vt_core.check_symbols((s for s in [2, 0]), 3) == [2, 0]
+
+    def test_kernels_measure_the_word_they_checked(self):
+        received = [2, 1, 4, 5, 2, 1, 0, 2]
+        for kernel, word in (
+            (vt_core.dvt_differential, GOLDEN_CODEWORD_1D),
+            (vt_core.decode_rll_deletion, received),
+        ):
+            assert kernel(iter(word), 7) == kernel(word, 7)
+            with pytest.raises(ValueError, match="is not a sequence of symbols"):
+                kernel(5, 3)
 
 
 class TestMembership:
