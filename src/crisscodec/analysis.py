@@ -8,14 +8,16 @@ float estimate exact int powers correct; everything the codec itself
 computes stays in exact ints.
 
 Code sizes are exact: the counts of protected first rows and last
-columns, each from a DP over syndrome residues, times
+columns, both read from one DP over syndrome residues, times
 q^crisscross.free_cells(n) for the free interior cells (the marker and
 parity cells are then forced).
 CodeSize.redundancy is the code redundancy n^2 - floor(log_q |C|) that
 the paper bounds.  The DP keeps its qn residue counts packed side by
 side in one int, in fields wide enough that they never carry into each
 other, so a step of the DP is a few big-int shifts and adds (derived
-in protected_row_count).  It is plain Python, needs no numpy, and
+in protected_row_count).  The last column's free positions are the
+first n - 3 of the first row's n - 2, so one walk over the first row's
+factors yields both counts.  It is plain Python, needs no numpy, and
 refuses work beyond WORK_GUARD = 2 * 10^10 bit operations; at
 q = n + 1 that admits n <= 133.
 """
@@ -93,26 +95,34 @@ class CodeSize(NamedTuple):
     redundancy: int | None  # n^2 - floor(log_q size); None for an empty code
 
 
-def protected_row_count(n: int, q: int, suffix: tuple[int, ...]) -> int:
-    """Count the length-n words that protect a row or column.
+def protected_row_count(n: int, q: int, *suffixes: tuple[int, ...]) -> tuple[int, ...]:
+    """Count the length-n words that protect a row or column, one count per suffix.
 
     A word qualifies when it lies in DVT_0(n; q), has no equal adjacent
-    symbols and ends with `suffix`.  In the differential word y = diff(x)
-    the suffix fixes y_(n-m+1), ..., y_n, and the word is a free choice
-    of y_1, ..., y_(n-m), each in {1, ..., q-1}: a nonzero differential
-    is exactly the RLL property.  With s0 the syndrome sum(i * y_i) of
-    the suffix alone, the coefficient of x^r in
+    symbols and ends with the suffix.  In the differential word
+    y = diff(x) a suffix of m symbols fixes y_(n-m+1), ..., y_n, and the
+    word is a free choice of y_1, ..., y_(n-m), each in {1, ..., q-1}: a
+    nonzero differential is exactly the RLL property.  So a suffix with
+    a zero differential before its last entry counts 0.  With
+    s0 = syndrome(fixed) + (n-m) * sum(fixed) the syndrome of the
+    suffix's own entries at their positions, the coefficient of x^r in
 
-        x^s0 * prod_(i=1..n-m) (x^i + x^(2i) + ... + x^((q-1)i))  mod x^(qn) - 1
+        P_(n-m) = prod_(i=1..n-m) (x^i + x^(2i) + ... + x^((q-1)i))  mod x^(qn) - 1
 
     counts the choices whose syndrome is r mod qn; the answer is the
-    coefficient of x^0.
+    coefficient of x^(-s0 mod qn).  Every suffix has the same modulus
+    qn and the same factors, only fewer of them the longer it is, so
+    one walk serves all suffixes: it multiplies the factors in from 1
+    up, and reads each suffix's count once its own n - m factors are
+    in.  count_code_size reads the protected last column (n - 3 free
+    positions) and the protected first row (n - 2) from one walk.
 
     The qn coefficients are packed into one int, x^r in the `width` bits
     at bit offset r * width, so multiplying by x^k is a left shift by
-    k * width.  No coefficient ever exceeds the (q-1)^(n-m) choices in
-    all, so width = bit_length((q-1)^(n-m)) keeps every sum inside its
-    field: shifts and adds never carry from one field into the next.
+    k * width.  No coefficient ever exceeds the (q-1)^free choices of
+    the largest free count free = n - min(m), so
+    width = bit_length((q-1)^free) keeps every sum inside its field:
+    shifts and adds never carry from one field into the next.
     Factor i is x^i * (1 + x^i + ... + x^((q-2)i)).  With P the product
     so far times x^i and S_t = P * (1 + x^i + ... + x^((t-1)i)), the
     doubling S_2t = S_t + x^(ti) * S_t and S_(2t+1) = P + x^i * S_2t,
@@ -123,39 +133,53 @@ def protected_row_count(n: int, q: int, suffix: tuple[int, ...]) -> int:
     shifted down, reduces mod x^(qn) - 1.
 
     A free position costs under 2 * bitlen(q-1) shift-adds over at
-    most 2qn fields, and width is at most (n-m) * bitlen(q-1) bits, so
-    the whole DP costs on the order of ((n-m) * bitlen(q-1))^2 * qn bit
-    operations.  That estimate is checked against WORK_GUARD before any
-    int is built.
+    most 2qn fields, and width is at most free * bitlen(q-1) bits, so
+    the walk costs on the order of (free * bitlen(q-1))^2 * qn bit
+    operations.  That estimate, at the largest free count, is checked
+    against WORK_GUARD once, before any int is built.  The longer
+    suffixes add no factor, so the ceiling is that of the shortest
+    suffix alone: n <= 133 at q = n + 1 for the first row's m = 2.
     """
-    m = len(suffix)
-    if not 0 < m <= n:
-        raise ValueError(f"the suffix must have 1 to n = {n} symbols, got {m}")
-    free = n - m
+    if not suffixes:
+        raise ValueError("give at least one suffix to count")
     modulus = q * n
+    free = 0  # the largest free count, n - min(m)
+    wanted = []  # (free count, residue to read, index) of each suffix that can count
+    for k, suffix in enumerate(suffixes):
+        fixed = vt_core.check_symbols(suffix, q, "suffix")
+        m = len(fixed)
+        if not 0 < m <= n:
+            raise ValueError(f"the suffix must have 1 to n = {n} symbols, got {m}")
+        free = max(free, n - m)
+        fixed = vt_core.diff(fixed, q)
+        if 0 not in fixed[:-1]:
+            s0 = vt_core.syndrome(fixed) + (n - m) * sum(fixed)
+            wanted.append((n - m, -s0 % modulus, k))
     work = (free * (q - 1).bit_length()) ** 2 * modulus
     if work > WORK_GUARD:
         raise ValueError(f"{work} bit operations exceed the work guard {WORK_GUARD}")
-    fixed = vt_core.diff(vt_core.check_symbols(suffix, q, "suffix"), q)
-    if 0 in fixed[:-1]:
-        return 0
     width = ((q - 1) ** free).bit_length()
     span = modulus * width
     low_fields = (1 << span) - 1
+    field = (1 << width) - 1
     doublings = bin(q - 1)[3:]  # the bits of q - 1 below the leading 1
-    counts = 1 << (vt_core.syndrome([0] * free + fixed) % modulus) * width
-    for i in range(1, free + 1):
-        step = i * width
-        start = counts = counts << step
-        terms = 1
-        for bit in doublings:
-            counts += counts << terms * step
-            terms *= 2
-            if bit == "1":
-                counts = start + (counts << step)
-                terms += 1
-        counts = (counts & low_fields) + (counts >> span)
-    return counts & ((1 << width) - 1)
+    found = [0] * len(suffixes)
+    counts, i = 1, 0
+    for own_free, residue, k in sorted(wanted):
+        while i < own_free:
+            i += 1
+            step = i * width
+            start = counts = counts << step
+            terms = 1
+            for bit in doublings:
+                counts += counts << terms * step
+                terms *= 2
+                if bit == "1":
+                    counts = start + (counts << step)
+                    terms += 1
+            counts = (counts & low_fields) + (counts >> span)
+        found[k] = counts >> residue * width & field
+    return tuple(found)
 
 
 def count_code_size(n: int, q: int, mode: str = "formula") -> CodeSize:
@@ -169,8 +193,9 @@ def count_code_size(n: int, q: int, mode: str = "formula") -> CodeSize:
     n, q = params.n, params.q
     if mode != "formula":
         raise ValueError(f'mode must be "formula", got {mode!r}')
-    u_count = protected_row_count(n, q, crisscross.first_row_params(params).b)
-    v_count = protected_row_count(n, q, crisscross.last_column_params(params).b)
+    u_count, v_count = protected_row_count(
+        n, q, crisscross.first_row_params(params).b, crisscross.last_column_params(params).b
+    )
     rows = u_count * v_count
     free = crisscross.free_cells(n)
     size = rows * q**free

@@ -85,31 +85,44 @@ def check_symbols(x: Sequence[int], q: int, name: str = "sequence") -> Sequence[
     return symbols
 
 
+def _not_integers(word: object) -> ValueError:
+    return ValueError(f"{reprlib.repr(word)} is not a sequence of integers")
+
+
 def diff(x: Sequence[int], q: int) -> list[int]:
     """Differential transform: y_i = x_i - x_{i+1} (mod q), y_n = x_n."""
-    if not len(x):
-        raise ValueError("cannot transform an empty sequence")
-    y = list(map(mod, map(sub, x, islice(x, 1, None)), repeat(q)))
-    y.append(x[-1])
+    try:
+        if not len(x):
+            raise ValueError("cannot transform an empty sequence")
+        y = list(map(mod, map(sub, x, islice(x, 1, None)), repeat(q)))
+        y.append(x[-1])
+    except TypeError:
+        raise _not_integers(x) from None
     return y
 
 
 def diff_inverse(y: Sequence[int], q: int) -> list[int]:
     """Inverse of diff: x_i = sum(y_i..y_n) (mod q), x_n = y_n."""
-    if not len(y):
-        raise ValueError("cannot transform an empty sequence")
-    x = [0] * len(y)
-    x[-1] = y[-1]
-    running = y[-1]
-    for i in range(len(y) - 2, -1, -1):
-        running = (running + y[i]) % q
-        x[i] = running
+    try:
+        if not len(y):
+            raise ValueError("cannot transform an empty sequence")
+        x = [0] * len(y)
+        x[-1] = y[-1]
+        running = y[-1]
+        for i in range(len(y) - 2, -1, -1):
+            running = (running + y[i]) % q
+            x[i] = running
+    except TypeError:
+        raise _not_integers(y) from None
     return x
 
 
 def syndrome(y: Sequence[int]) -> int:
     """VT syndrome sum(i * y_i) over 1-based positions, as an exact int."""
-    return sum(map(mul, y, count(1)))
+    try:
+        return sum(map(mul, y, count(1)))
+    except TypeError:
+        raise _not_integers(y) from None
 
 
 def dvt_differential(x: Sequence[int], q: int) -> list[int] | None:

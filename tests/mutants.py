@@ -295,6 +295,16 @@ MUTANTS = [
         "width = ((q - 1) ** free).bit_length() - 1",
         "killed",
     ),
+    # Every count read after the last factor: a suffix with fewer free
+    # positions than the shortest one takes factors that are not its own.
+    Mutant(
+        "dp-counts-read-after-the-full-walk",
+        "analysis.py",
+        "while i < own_free:",
+        "while i < free:",
+        "killed",
+        "tests/test_analysis.py::TestProtectedRowCount::test_agrees_with_rotate_and_add_oracle",
+    ),
     Mutant(
         "dumps-no-trailing-newline",
         "fileio.py",

@@ -108,34 +108,45 @@ class TestProtectedRowCount:
     )
     def test_agrees_with_pure_enumeration(self, n, q, suffix):
         expected = enumerate_protected_words(n, q, suffix)
-        assert analysis.protected_row_count(n, q, suffix) == len(expected)
+        (count,) = analysis.protected_row_count(n, q, suffix)
+        assert count == len(expected)
 
     def test_agrees_with_rotate_and_add_oracle(self):
         # Both layout suffixes, a whole protected word (no free position)
-        # and a suffix that repeats a symbol, on every n in [4, 24].
+        # and a suffix that repeats a symbol, counted in one walk on every
+        # n in [4, 24].
         repeating = (2, 1, 1)
         for n in range(4, 25):
             for q in sorted({3, 4, 5, 7, 11, n + 1}):
                 params = crisscross.CodeParams(n, q)
                 whole = protected_whole_word(n, q)
-                cases = [
+                cases = (
                     crisscross.first_row_params(params).b,
                     crisscross.last_column_params(params).b,
                     whole,
                     repeating,
-                ]
-                for suffix in cases:
-                    expected = protected_row_count_dp(n, q, suffix)
-                    got = analysis.protected_row_count(n, q, suffix)
-                    assert got == expected, (n, q, suffix)
-                assert protected_row_count_dp(n, q, whole) == 1, (n, q)
-                assert protected_row_count_dp(n, q, repeating) == 0, (n, q)
+                )
+                expected = tuple(protected_row_count_dp(n, q, suffix) for suffix in cases)
+                assert analysis.protected_row_count(n, q, *cases) == expected, (n, q)
+                assert expected[2:] == (1, 0), (n, q)
+
+    def test_counts_do_not_depend_on_the_order_of_the_suffixes(self):
+        cases = ((0, 1, 2), (2, 1, 1), (0, 2), (3, 1, 0, 2, 4))
+        counts = dict(zip(cases, analysis.protected_row_count(9, 5, *cases)))
+        for order in itertools.permutations(cases):
+            assert analysis.protected_row_count(9, 5, *order) == tuple(map(counts.get, order))
+        assert analysis.protected_row_count(9, 5, (0, 2), (0, 2)) == (counts[(0, 2)],) * 2
 
     def test_guard(self):
         # The first refused q = n + 1 point:
         # (132 free positions x 8 bits)^2 x (134 * 135 residues) > 2 * 10^10
         with pytest.raises(ValueError, match="work guard"):
             analysis.protected_row_count(134, 135, (0, 2))
+        # One walk serves every suffix, so the guard takes the largest
+        # free count, that of the shortest suffix, whatever the order.
+        for suffixes in (((0, 1, 2), (0, 2)), ((0, 2), (0, 1, 2))):
+            with pytest.raises(ValueError, match="20172810240"):
+                analysis.protected_row_count(134, 135, *suffixes)
 
     def test_bad_suffix(self):
         with pytest.raises(ValueError, match="suffix"):
@@ -144,6 +155,8 @@ class TestProtectedRowCount:
             analysis.protected_row_count(4, 3, (0, 1, 2, 0, 1))
         with pytest.raises(ValueError, match="suffix"):
             analysis.protected_row_count(4, 3, ())
+        with pytest.raises(ValueError, match="suffix"):
+            analysis.protected_row_count(4, 3)
 
 
 class TestCodeSize:

@@ -100,6 +100,22 @@ class TestCheckSymbols:
             with pytest.raises(ValueError, match="is not a sequence of symbols"):
                 kernel(5, 3)
 
+    @pytest.mark.parametrize(
+        "kernel,args",
+        [
+            (vt_core.diff, (iter([1, 2]), 3)),
+            (vt_core.diff, ([1, "a"], 3)),
+            (vt_core.syndrome, (5,)),
+            (vt_core.diff_inverse, ([1, "a"], 3)),
+            (vt_core.diff_inverse, (5, 3)),
+        ],
+    )
+    def test_unchecked_kernels_refuse_a_non_word_with_value_error(self, kernel, args):
+        # diff, diff_inverse and syndrome take no alphabet check; what they
+        # cannot compute on is still a ValueError, never a TypeError.
+        with pytest.raises(ValueError, match="is not a sequence of integers"):
+            kernel(*args)
+
 
 class TestMembership:
     def test_membership_golden(self):
