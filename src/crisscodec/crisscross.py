@@ -34,7 +34,8 @@ other integer types (numpy's, say), rejects bool and names the first
 bad entry as `row r[k]`, a 1-based row r and a 0-based entry k.  The
 sum conditions 4 and 5 are C-level passes too.  `recover_data` reads
 each protected word once: the 1-D recovery that reads its digits is
-also its condition 1 or 2 check.  No public function mutates the
+also its condition 1 or 2 check, and it refuses a protected word that
+the 1-D encoder never writes.  No public function mutates the
 arrays it is given.  The encoder checks the alphabet of the parity
 entries it computed before it checks the codeword conditions.  The
 decoder runs the full `first_violation` on its output and reports any
@@ -386,14 +387,17 @@ def recover_data(X: Sequence[Sequence[int]], params: CodeParams) -> list[int]:
     """Read the message symbols back out of a codeword (inverse of encode).
 
     Each protected word is read once: rll_suffix.recover_data both
-    checks it and reads its digits, and its refusal is reported as
-    condition 1 or 2.  Conditions 3-5 are checked after them, so a
-    non-codeword names the condition that first_violation names.
+    checks it and reads its digits.  Its refusal of a non-codeword is
+    reported as condition 1 or 2; a codeword that its encoder never
+    writes, which is_member tells apart, is outside the encoder image.
+    Conditions 3-5 are checked after them, so a non-codeword names the
+    condition that first_violation names.
     """
     n, q = params.n, params.q
     ml = message_lengths(params)
     X = check_array(X, n, n, q)
     digits: list[int] = []
+    written = True
     for word, code, condition in (
         (X[0], first_row_params(params), _CONDITION_1),
         (reversed_last_column(X), last_column_params(params), _CONDITION_2),
@@ -401,13 +405,15 @@ def recover_data(X: Sequence[Sequence[int]], params: CodeParams) -> list[int]:
         try:
             digits += rll_suffix.recover_data(word, code)
         except ValueError as exc:
-            raise ValueError(f"input is not a codeword: {condition}") from exc
+            if not rll_suffix.is_member(word, code):
+                raise ValueError(f"input is not a codeword: {condition}") from exc
+            written = False
     violation = _unprotected_violation(X, params)
     if violation is not None:
         raise ValueError(f"input is not a codeword: {violation}")
 
     packed = from_digits(digits, q - 1)
-    if packed >= q**ml.k3:
+    if not written or packed >= q**ml.k3:
         raise ValueError(
             "protected row/column carry a value outside the encoder image"
         )

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from . import vt_core
@@ -63,13 +64,12 @@ class RllSuffixParams(NamedTuple("RllSuffixParams", [("n", int), ("q", int), ("b
 class IndexSets(NamedTuple):
     """Partition of the body positions 1..n used by the encoder.
 
-    power positions: (q-1)^0, ..., (q-1)^t (absorb a base-(q-1) residue),
+    power positions: (q-1)^0, (q-1)^1, ... up to n (absorb a base-(q-1) remainder),
     high positions: the three largest non-power indices j1 < j2 < j3
     (absorb the bulk of the syndrome residue greedily), and
     data positions: everything else, one data symbol each.
     """
 
-    t: int
     power: tuple[int, ...]
     high: tuple[int, int, int]
     data: tuple[int, ...]
@@ -128,36 +128,40 @@ def index_sets(n: int, q: int) -> IndexSets:
         raise ValueError(
             f"body length n={n} leaves no data positions (need n >= t + 5 = {t + 5})"
         )
-    return IndexSets(t, power, rest[-3:], rest[:-3])
+    return IndexSets(power, rest[-3:], rest[:-3])
 
 
-def _greedy(residue: int, high: Sequence[int], q: int) -> tuple[tuple[int, ...], int]:
-    """The e-values the greedy pass writes at the high positions, and the remainder it leaves."""
-    greedy = []
-    for j in high:
+def _reserved(residue: int, sets: IndexSets, q: int) -> list[int] | None:
+    """The values, less one, that encode writes at the reserved positions
+    sets.high + sets.power for this syndrome residue: greedy ones at the
+    high positions, then the base-(q-1) digits of the remainder, or None
+    if it is not below the capacity of the power positions.
+    """
+    values = []
+    for j in sets.high:
         e = min(q - 2, residue // j)
-        greedy.append(e)
+        values.append(e)
         residue -= e * j
-    return tuple(greedy), residue
+    if residue >= (q - 1) ** len(sets.power):
+        return None
+    return values + to_digits(residue, q - 1, len(sets.power))
 
 
 @lru_cache
 def encodable(n: int, m: int, q: int) -> bool:
     """True iff encode cannot overflow the power positions at body n, suffix length m, alphabet q.
 
-    The greedy remainder depends only on the syndrome residue, so this
-    certifies every residue in [0, q(n+m)), hence every suffix and
-    message.  The greedy e-values only ever step up as the residue
+    Whether _reserved overflows depends only on the syndrome residue, so
+    this certifies every residue in [0, q(n+m)), hence every suffix and
+    message.  The greedy high values only ever step up as the residue
     grows; between steps the remainder grows by 1 per residue, and just
     before a step at high position j it is j - 1 <= n - 1, which always
-    fits, because the capacity (q-1)^(t+1) exceeds n.  So the remainder
-    can overflow only if it overflows at the largest residue, and one
-    greedy pass decides.  Raises ValueError when the index sets do not
-    exist.
+    fits, because the capacity of the power positions exceeds n.  So the
+    remainder can overflow only if it overflows at the largest residue,
+    and one _reserved call at that residue decides.  Raises ValueError
+    when the index sets do not exist.
     """
-    sets = index_sets(n, q)
-    remainder = _greedy(q * (n + m) - 1, sets.high, q)[1]
-    return remainder < (q - 1) ** (sets.t + 1)
+    return _reserved(q * (n + m) - 1, index_sets(n, q), q) is not None
 
 
 def encode(data: Sequence[int], params: RllSuffixParams) -> list[int]:
@@ -181,24 +185,20 @@ def encode(data: Sequence[int], params: RllSuffixParams) -> list[int]:
 
     for pos, f in zip(sets.data, data):
         y[pos] = f + 1
-    for j in sets.power + sets.high:
+    reserved = sets.high + sets.power
+    for j in reserved:
         y[j] = 1  # the least value each reserved position takes
     y[n + 1 :] = vt_core.diff(b, q)
     residue = -vt_core.syndrome(y[1:]) % modulus
 
-    greedy, remainder = _greedy(residue, sets.high, q)
-    for j, e in zip(sets.high, greedy):
-        y[j] = e + 1
-
-    limit = (q - 1) ** (sets.t + 1) - 1
-    if remainder > limit:
+    values = _reserved(residue, sets, q)
+    if values is None:
         raise EncodingError(
-            f"residue {remainder} exceeds the power-position capacity {limit} "
+            f"residue {residue} exceeds the capacity of the reserved positions "
             f"at n={n}, m={m}, q={q}"
         )
-    digits = to_digits(remainder, q - 1, sets.t + 1)
-    for i, h in enumerate(digits):
-        y[(q - 1) ** i] = h + 1
+    for j, e in zip(reserved, values):
+        y[j] = e + 1
 
     x = vt_core.diff_inverse(y[1:], q)
     if not is_member(x, params):
@@ -219,15 +219,16 @@ def _sized(x: Sequence[int], length: int, q: int, name: str) -> Sequence[int]:
 
 
 def _differential(x: Sequence[int], params: RllSuffixParams) -> list[int] | None:
-    """diff(x) if x is a codeword of RLL_DVT_0(n, m; b), else None.
+    """diff(x) if x is a codeword of RLL_DVT_0(n, m; b), else None: the one membership reader.
 
-    Raises ValueError unless x has the code length and lies in the alphabet.
-    The 1-RLL test is the run-length rule of vt_core on y, so x is not
-    read again.
+    Raises ValueError unless x lies in the alphabet and has the code
+    length.  The syndrome and the 1-RLL test both read y, the latter by
+    the run-length rule of vt_core, so x is not read again.
     """
-    x = _sized(x, params.length, params.q, "sequence")
-    y = vt_core.dvt_differential(x, params.q)
-    if y is None or 0 in y[:-1] or tuple(x[params.n :]) != params.b:
+    q = params.q
+    x = _sized(vt_core.check_symbols(x, q), params.length, q, "sequence")
+    y = vt_core.diff(x, q)
+    if vt_core.syndrome(y) % (q * len(x)) or 0 in y[:-1] or tuple(x[params.n :]) != params.b:
         return None
     return y
 
@@ -253,10 +254,17 @@ def recover_data(x: Sequence[int], params: RllSuffixParams) -> list[int]:
 
     A codeword is 1-RLL, so its differential is nonzero at every body
     position, each data position included: it holds a data symbol plus one.
-    crisscross.recover_data checks its protected words with this call and
-    reports its refusal of a non-codeword as condition 1 or condition 2.
+    A codeword that encode never writes is refused too: the residue
+    sum(j * (y_j - 1)) over the reserved positions must be below q * length
+    and their values those that _reserved gives for it.
     """
     y = _differential(x, params)
     if y is None:
         raise ValueError("input is not a codeword of this code")
-    return [y[pos - 1] - 1 for pos in index_sets(params.n, params.q).data]
+    sets = index_sets(params.n, params.q)
+    reserved = sets.high + sets.power
+    values = [y[j - 1] - 1 for j in reserved]
+    residue = sum(map(mul, reserved, values))
+    if residue >= params.q * params.length or _reserved(residue, sets, params.q) != values:
+        raise ValueError("input is a codeword that the encoder never writes")
+    return [y[pos - 1] - 1 for pos in sets.data]

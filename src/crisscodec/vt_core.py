@@ -6,7 +6,8 @@ and y_n = x_n.  The code DVT_0(n; q) collects the sequences whose
 differential VT syndrome sum(i * y_i) is divisible by q*n; it corrects
 one symbol deletion.  The codec decodes only run-length-limited words,
 with no two equal adjacent symbols, and for those `decode_rll_deletion`
-pins down the deletion position exactly.
+pins down the deletion position exactly.  The one membership test is
+`rll_suffix.is_member`, which applies the syndrome test with these kernels.
 
 The package has one run-length rule: x has two equal adjacent symbols
 exactly where diff(x) is 0 before its last entry, so every run-length
@@ -123,12 +124,6 @@ def syndrome(y: Sequence[int]) -> int:
         return sum(map(mul, y, count(1)))
     except TypeError:
         raise _not_integers(y) from None
-
-
-def dvt_differential(x: Sequence[int], q: int) -> list[int] | None:
-    """diff(x) if x is a codeword of DVT_0(len(x); q), else None; raises on a bad alphabet."""
-    y = diff(check_symbols(x, q), q)
-    return y if syndrome(y) % (q * len(y)) == 0 else None
 
 
 def decode_rll_deletion(received: Sequence[int], q: int) -> DeletionDecode:

@@ -126,9 +126,29 @@ MUTANTS = [
     Mutant(
         "rll-member-skips-first-pair",
         "rll_suffix.py",
-        "if y is None or 0 in y[:-1] or",
-        "if y is None or 0 in y[1:-1] or",
+        "or 0 in y[:-1] or",
+        "or 0 in y[1:-1] or",
         "killed",
+    ),
+    # recover_data reads the data of a codeword whose reserved positions
+    # hold values the encoder never writes there.
+    Mutant(
+        "rll-recover-image-check-dropped",
+        "rll_suffix.py",
+        "if residue >= params.q * params.length or _reserved(residue, sets, params.q) != values:",
+        "if False:",
+        "killed",
+        "tests/test_rll_suffix.py::TestRecoverData::test_accepts_exactly_the_encoder_outputs",
+    ),
+    # Without the bound a residue that exceeds the modulus by a multiple of
+    # it passes whenever _reserved writes those values for it.
+    Mutant(
+        "rll-recover-residue-bound-dropped",
+        "rll_suffix.py",
+        "if residue >= params.q * params.length or ",
+        "if ",
+        "killed",
+        "tests/test_rll_suffix.py::TestRecoverData::test_accepts_exactly_the_encoder_outputs",
     ),
     Mutant(
         "rll-suffix-rule-skips-last-pair",
@@ -270,9 +290,20 @@ MUTANTS = [
     Mutant(
         "recover-encoder-image-gt",
         "crisscross.py",
-        "if packed >= q**ml.k3:",
-        "if packed > q**ml.k3:",
+        "packed >= q**ml.k3:",
+        "packed > q**ml.k3:",
         "killed",
+    ),
+    # A codeword whose first row the encoder never writes is reported as
+    # failing condition 1, which first_violation does not name.
+    Mutant(
+        "recover-unwritten-word-as-condition",
+        "crisscross.py",
+        "if not rll_suffix.is_member(word, code):",
+        "if True:",
+        "killed",
+        "tests/test_crisscross.py::TestAdversarialRecover::"
+        "test_refuses_a_first_row_the_encoder_never_writes",
     ),
     Mutant(
         "recover-column-refusal-as-condition-1",
@@ -329,8 +360,8 @@ MUTANTS = [
     Mutant(
         "rll-high-data-split-shifted",
         "rll_suffix.py",
-        "return IndexSets(t, power, rest[-3:], rest[:-3])",
-        "return IndexSets(t, power, rest[-4:-1], rest[:-4] + rest[-1:])",
+        "return IndexSets(power, rest[-3:], rest[:-3])",
+        "return IndexSets(power, rest[-4:-1], rest[:-4] + rest[-1:])",
         "killed",
     ),
     Mutant(

@@ -6,6 +6,7 @@ import hashlib
 import random
 import re
 from collections import Counter
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -616,19 +617,38 @@ class TestAdversarialDecode:
             assert crisscross.decode(Y, params) == X
 
 
+@lru_cache
+def protected_words(code: rll_suffix.RllSuffixParams) -> list[list[int]]:
+    return enumerate_protected_words(code.length, code.q, code.b)
+
+
 class TestAdversarialRecover:
     """recover_data returns only a message whose encoding is its input."""
 
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(st.data())
     def test_refuses_or_returns_the_message_of_the_input(self, data):
-        n, q = data.draw(st.sampled_from([(11, 3), (12, 5)]), label="(n, q)")
+        n, q = data.draw(st.sampled_from([(11, 3), (12, 5), (9, 4)]), label="(n, q)")
         params = CodeParams(n, q)
-        total = crisscross.message_lengths(params).total
-        message = data.draw(
-            st.lists(st.integers(0, q - 1), min_size=total, max_size=total), label="message"
-        )
-        X = crisscross.encode(message, params)
+        if q != 5 and data.draw(st.booleans(), label="any protected words"):
+            # Any protected first row and reversed last column, most of which
+            # the encoder never writes, completed to a codeword.
+            u, v = (
+                data.draw(st.sampled_from(protected_words(code)), label=name)
+                for code, name in (
+                    (crisscross.first_row_params(params), "first row"),
+                    (crisscross.last_column_params(params), "reversed last column"),
+                )
+            )
+            size = crisscross.free_cells(n)
+            fill = data.draw(st.lists(st.integers(0, q - 1), min_size=size, max_size=size))
+            X = build_structural_codeword(n, q, u, v, fill)
+        else:
+            total = crisscross.message_lengths(params).total
+            message = data.draw(
+                st.lists(st.integers(0, q - 1), min_size=total, max_size=total), label="message"
+            )
+            X = crisscross.encode(message, params)
         # A rectangle of +a, -a, +a, -a keeps every row and column sum.
         corners = st.tuples(*[st.integers(1, n - 2)] * 4, st.integers(1, q - 1))
         r1, r2, c1, c2, a = data.draw(corners, label="rectangle")
@@ -642,6 +662,25 @@ class TestAdversarialRecover:
         except ValueError:
             return
         assert crisscross.encode(recovered, params) == X
+
+    def test_refuses_a_first_row_the_encoder_never_writes(self):
+        # This first row is a protected 1-D codeword at (9, 4), so the array
+        # is a codeword, but its reserved positions do not hold what the
+        # encoder writes for their residue: it writes [2, 1, 3, 1, 0, 2, 1, 0, 2]
+        # for the data digits this row carries.
+        params = CodeParams(9, 4)
+        u = [0, 1, 3, 0, 3, 2, 1, 0, 2]
+        v = rll_suffix.encode([0], crisscross.last_column_params(params))
+        fill = random.Random(9).choices(range(4), k=crisscross.free_cells(9))
+        X = build_structural_codeword(9, 4, u, v, fill)
+        assert crisscross.first_violation(X, params) is None
+        message = "^protected row/column carry a value outside the encoder image$"
+        with pytest.raises(ValueError, match=message):
+            crisscross.recover_data(X, params)
+        # A violated condition is still named first.
+        X[4][4] = (X[4][4] + 1) % 4
+        with pytest.raises(ValueError, match="^input is not a codeword: condition 4: row 5 "):
+            crisscross.recover_data(X, params)
 
 
 class TestInputBoundary:
@@ -711,19 +750,20 @@ class TestInputBoundary:
 
     def test_each_protected_word_is_read_once_and_decode_checks_once(self, monkeypatch):
         # recover_data checks and reads each protected word in one 1-D pass,
-        # and decode runs one full first_violation, on its own output.
+        # which takes its one differential, and decode runs one full
+        # first_violation, on its own output.
         words, checked = [], []
-        real_differential, real_violation = vt_core.dvt_differential, crisscross.first_violation
+        real_diff, real_violation = vt_core.diff, crisscross.first_violation
 
-        def differential_spy(x, q):
+        def diff_spy(x, q):
             words.append(list(x))
-            return real_differential(x, q)
+            return real_diff(x, q)
 
         def violation_spy(X, params):
             checked.append(X)
             return real_violation(X, params)
 
-        monkeypatch.setattr(vt_core, "dvt_differential", differential_spy)
+        monkeypatch.setattr(vt_core, "diff", diff_spy)
         monkeypatch.setattr(crisscross, "first_violation", violation_spy)
         assert crisscross.recover_data(GOLDEN_ARRAY, GOLDEN_PARAMS) == GOLDEN_DATA
         assert words == [GOLDEN_ARRAY[0], crisscross.reversed_last_column(GOLDEN_ARRAY)]

@@ -16,7 +16,7 @@ from conftest import (
     rll_words,
 )
 from crisscodec import rll_suffix, vt_core
-from crisscodec.crisscross import CodeParams, first_row_params
+from crisscodec.crisscross import CodeParams, first_row_params, last_column_params
 from crisscodec.errors import DecodingError, EncodingError
 from crisscodec.rll_suffix import RllSuffixParams
 
@@ -58,14 +58,13 @@ class TestParams:
 
 class TestIndexSets:
     def test_golden(self):
-        assert rll_suffix.index_sets(7, 7) == (1, (1, 6), (4, 5, 7), (2, 3))
+        assert rll_suffix.index_sets(7, 7) == ((1, 6), (4, 5, 7), (2, 3))
         assert rll_suffix.index_sets(12, 3) == (
-            3,
             (1, 2, 4, 8),
             (10, 11, 12),
             (3, 5, 6, 7, 9),
         )
-        assert rll_suffix.index_sets(8, 9) == (1, (1, 8), (5, 6, 7), (2, 3, 4))
+        assert rll_suffix.index_sets(8, 9) == ((1, 8), (5, 6, 7), (2, 3, 4))
 
     def test_too_small(self):
         # One refusal: fewer than four non-power positions, i.e. n < t + 5.
@@ -85,7 +84,8 @@ class TestIndexSets:
     def test_partition_properties(self):
         for q in (3, 4, 5, 7, 11):
             for n in range(8, 41):
-                t, power, high, data = rll_suffix.index_sets(n, q)
+                power, high, data = rll_suffix.index_sets(n, q)
+                t = len(power) - 1
                 assert (q - 1) ** t <= n < (q - 1) ** (t + 1)
                 assert power == tuple((q - 1) ** i for i in range(t + 1))
                 assert len(high) == 3
@@ -181,11 +181,13 @@ class TestEncode:
         assert len(residues) == 65  # of the 5 * 15 residues
 
     def test_unproven_capacity_overflow(self):
-        # At this uncertified point the greedy pass cannot absorb the
-        # residue that this suffix and message leave; another suffix fits.
+        # At this uncertified point the reserved positions cannot absorb the
+        # residue that this suffix and message leave: the greedy high values
+        # take 18 of its 35, and 17 is above the power positions' 15.
+        # Another suffix fits.
         assert not rll_suffix.encodable(8, 4, 3)
         params = RllSuffixParams(8, 3, (1, 2, 0, 2))
-        with pytest.raises(EncodingError, match="residue 17 exceeds .* capacity"):
+        with pytest.raises(EncodingError, match="residue 35 exceeds .* capacity"):
             rll_suffix.encode([0], params)
         params = RllSuffixParams(8, 3, (0, 1, 0, 1))
         assert rll_suffix.recover_data(rll_suffix.encode([0], params), params) == [0]
@@ -215,11 +217,11 @@ class TestEncode:
 
 def greedy_overflows(n, m, q):
     """True iff the greedy pass overflows for some residue, by trying every one."""
-    t, _, high, _ = rll_suffix.index_sets(n, q)
+    power, high, _ = rll_suffix.index_sets(n, q)
     for residue in range(q * (n + m)):
         for j in high:
             residue -= min(q - 2, residue // j) * j
-        if residue >= (q - 1) ** (t + 1):
+        if residue >= (q - 1) ** len(power):
             return True
     return False
 
@@ -337,6 +339,26 @@ class TestRecoverData:
         bad[0] = (bad[0] + 1) % 7
         with pytest.raises(ValueError, match="not a codeword"):
             rll_suffix.recover_data(bad, GOLDEN_PARAMS)
+
+    @pytest.mark.parametrize("n, q", [(9, 4), (11, 3)])
+    def test_accepts_exactly_the_encoder_outputs(self, n, q):
+        # At (9, 4) the encoder writes 9 of the 36 protected first rows and
+        # 3 of the 34 reversed last columns; recover_data refuses the rest.
+        for code in (first_row_params(CodeParams(n, q)), last_column_params(CodeParams(n, q))):
+            width = len(rll_suffix.index_sets(code.n, q).data)
+            outputs = {
+                tuple(rll_suffix.encode(list(data), code))
+                for data in itertools.product(range(q - 1), repeat=width)
+            }
+            accepted = set()
+            for x in enumerate_protected_words(code.length, q, code.b):
+                try:
+                    rll_suffix.recover_data(x, code)
+                except ValueError as exc:
+                    assert str(exc) == "input is a codeword that the encoder never writes"
+                    continue
+                accepted.add(tuple(x))
+            assert accepted == outputs, code
 
 
 class TestDigits:

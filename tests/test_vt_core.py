@@ -16,8 +16,9 @@ from conftest import (
     rll_words,
     syndrome_loop,
 )
-from crisscodec import vt_core
+from crisscodec import rll_suffix, vt_core
 from crisscodec.errors import DecodingError
+from crisscodec.rll_suffix import RllSuffixParams
 
 
 class TestDiff:
@@ -92,13 +93,9 @@ class TestCheckSymbols:
 
     def test_kernels_measure_the_word_they_checked(self):
         received = [2, 1, 4, 5, 2, 1, 0, 2]
-        for kernel, word in (
-            (vt_core.dvt_differential, GOLDEN_CODEWORD_1D),
-            (vt_core.decode_rll_deletion, received),
-        ):
-            assert kernel(iter(word), 7) == kernel(word, 7)
-            with pytest.raises(ValueError, match="is not a sequence of symbols"):
-                kernel(5, 3)
+        assert vt_core.decode_rll_deletion(iter(received), 7) == (GOLDEN_CODEWORD_1D, 1)
+        with pytest.raises(ValueError, match="is not a sequence of symbols"):
+            vt_core.decode_rll_deletion(5, 3)
 
     @pytest.mark.parametrize(
         "kernel,args",
@@ -118,15 +115,18 @@ class TestCheckSymbols:
 
 
 class TestMembership:
+    """The syndrome test of DVT_0, as the one membership test, rll_suffix.is_member, applies it."""
+
     def test_membership_golden(self):
-        golden = vt_core.dvt_differential(GOLDEN_CODEWORD_1D, 7)
-        assert golden == [2, 1, 4, 6, 3, 1, 1, 5, 2]
-        assert vt_core.dvt_differential([2, 0, 1], 3) == [2, 2, 1]
-        assert vt_core.dvt_differential([1, 2, 0], 3) is None
+        assert rll_suffix.is_member(GOLDEN_CODEWORD_1D, RllSuffixParams(7, 7, (0, 2)))
+        # diff([2, 0, 1]) = [2, 2, 1] has syndrome 9 = 3 * 3; diff([1, 2, 0])
+        # = [2, 2, 0] has syndrome 6, and only the syndrome refuses it.
+        assert rll_suffix.is_member([2, 0, 1], RllSuffixParams(1, 3, (0, 1)))
+        assert not rll_suffix.is_member([1, 2, 0], RllSuffixParams(1, 3, (2, 0)))
 
     def test_membership_validates_input(self):
-        with pytest.raises(ValueError):
-            vt_core.dvt_differential([1, 3, 0], 3)
+        with pytest.raises(ValueError, match=r"^sequence\[1\] = 3 is outside the alphabet"):
+            rll_suffix.is_member([1, 3, 0], RllSuffixParams(1, 3, (0, 1)))
 
     def test_member_symbol_sum_property(self):
         # A word's symbol sum is congruent to its syndrome mod q, so the
