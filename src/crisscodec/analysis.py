@@ -31,6 +31,8 @@ from . import crisscross, rll_suffix, vt_core
 from .crisscross import CodeParams
 
 WORK_GUARD = 2 * 10**10
+#: The largest n that analysis_row accepts: k3 takes a logarithm of (q-1)^(k1+k2).
+MAX_ANALYZE_DIMENSION = 4096
 
 
 class AnalysisRow(NamedTuple):
@@ -49,9 +51,11 @@ class AnalysisRow(NamedTuple):
 
 
 def analysis_row(n: int, q: int) -> AnalysisRow:
-    """Redundancy row at (n, q); bounds are floats, the rest exact ints."""
+    """Redundancy row at (n, q) for n <= MAX_ANALYZE_DIMENSION; bounds are floats, the rest ints."""
     params = CodeParams(n, q)  # validates n and q and makes both plain ints
     n, q = params.n, params.q
+    if n > MAX_ANALYZE_DIMENSION:
+        raise ValueError(f"array dimension must be <= {MAX_ANALYZE_DIMENSION}, got n={n}")
     ml = crisscross.message_lengths(params)
     redundancy = n * n - ml.total
     log_q = math.log(q)
@@ -60,11 +64,6 @@ def analysis_row(n: int, q: int) -> AnalysisRow:
     return AnalysisRow(
         n, q, ml.k1, ml.k2, ml.k3, ml.total, redundancy, lower, upper, redundancy - lower
     )
-
-
-def analyze_range(n_values: range | list[int], q_values: list[int]) -> list[AnalysisRow]:
-    """Redundancy rows over a grid of dimensions and alphabet sizes."""
-    return [analysis_row(n, q) for n in n_values for q in q_values]
 
 
 def _row_cells(row: AnalysisRow) -> list[str]:

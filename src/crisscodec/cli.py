@@ -21,8 +21,6 @@ from . import crisscross, fileio
 from .crisscross import CodeParams
 from .errors import DecodingError, EncodingError
 
-MAX_ANALYZE_DIMENSION = 4096
-
 
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
@@ -97,12 +95,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         q_values = []
     if not q_values:
         raise ValueError(f"--q must be comma-separated integers, got {args.q!r}")
-    if not args.n_min <= args.n_max <= MAX_ANALYZE_DIMENSION:
+    if not args.n_min <= args.n_max <= analysis.MAX_ANALYZE_DIMENSION:
         raise ValueError(
-            f"need n-min <= n-max <= {MAX_ANALYZE_DIMENSION}, "
+            f"need n-min <= n-max <= {analysis.MAX_ANALYZE_DIMENSION}, "
             f"got [{args.n_min}, {args.n_max}]"
         )
-    rows = analysis.analyze_range(range(args.n_min, args.n_max + 1), q_values)
+    n_values = range(args.n_min, args.n_max + 1)
+    rows = [analysis.analysis_row(n, q) for n in n_values for q in q_values]
     text = analysis.to_csv(rows) if args.format == "csv" else analysis.to_table(rows)
     _write_output(text, args.out)
     return 0

@@ -34,8 +34,8 @@ other integer types (numpy's, say), rejects bool and names the first
 bad entry as `row r[k]`, a 1-based row r and a 0-based entry k.  The
 sum conditions 4 and 5 are C-level passes too.  `recover_data` reads
 each protected word once: the 1-D recovery that reads its digits is
-also its condition 1 or 2 check, and it refuses a protected word that
-the 1-D encoder never writes.  No public function mutates the
+also its condition 1 or 2 check, and its EncodingError refuses one
+that the 1-D encoder never writes.  No public function mutates the
 arrays it is given.  The encoder checks the alphabet of the parity
 entries it computed before it checks the codeword conditions.  The
 decoder runs the full `first_violation` on its output and reports any
@@ -266,8 +266,8 @@ def message_lengths(params: CodeParams) -> MessageLengths:
     n, q = params.n, params.q
     row, col = first_row_params(params), last_column_params(params)
     try:
-        k1 = len(rll_suffix.index_sets(row.n, q).data)
-        k2 = len(rll_suffix.index_sets(col.n, q).data)
+        k1 = rll_suffix.index_sets(row.n, q).k
+        k2 = rll_suffix.index_sets(col.n, q).k
     except ValueError:
         raise ValueError(
             f"parameters n={n}, q={q} leave no data room in the protected row/column"
@@ -288,9 +288,11 @@ def encode(data: Sequence[int], params: CodeParams) -> Array:
     q-1 and spread over the protected first row and last column; the
     rest fill the array interior directly, and parity entries complete it.
     """
-    q = params.q
-    ml = message_lengths(params)
+    n, q = params.n, params.q
     data = vt_core.check_symbols(data, q, "data")
+    if len(data) < free_cells(n):  # every message is longer: refused before any layout
+        raise ValueError(f"expected more than {free_cells(n)} data symbols, got {len(data)}")
+    ml = message_lengths(params)
     if len(data) != ml.total:
         raise ValueError(f"expected {ml.total} data symbols, got {len(data)}")
 
@@ -387,15 +389,15 @@ def recover_data(X: Sequence[Sequence[int]], params: CodeParams) -> list[int]:
     """Read the message symbols back out of a codeword (inverse of encode).
 
     Each protected word is read once: rll_suffix.recover_data both
-    checks it and reads its digits.  Its refusal of a non-codeword is
-    reported as condition 1 or 2; a codeword that its encoder never
-    writes, which is_member tells apart, is outside the encoder image.
+    checks it and reads its digits.  Its ValueError for a non-codeword is
+    reported as condition 1 or 2; its EncodingError for a codeword that
+    its encoder never writes puts the array outside the encoder image.
     Conditions 3-5 are checked after them, so a non-codeword names the
     condition that first_violation names.
     """
     n, q = params.n, params.q
-    ml = message_lengths(params)
     X = check_array(X, n, n, q)
+    ml = message_lengths(params)
     digits: list[int] = []
     written = True
     for word, code, condition in (
@@ -404,10 +406,10 @@ def recover_data(X: Sequence[Sequence[int]], params: CodeParams) -> list[int]:
     ):
         try:
             digits += rll_suffix.recover_data(word, code)
-        except ValueError as exc:
-            if not rll_suffix.is_member(word, code):
-                raise ValueError(f"input is not a codeword: {condition}") from exc
+        except EncodingError:
             written = False
+        except ValueError as exc:
+            raise ValueError(f"input is not a codeword: {condition}") from exc
     violation = _unprotected_violation(X, params)
     if violation is not None:
         raise ValueError(f"input is not a codeword: {violation}")

@@ -10,12 +10,13 @@ class DecodingError(CodecError):
 
 
 class EncodingError(CodecError):
-    """The encoder cannot encode at these parameters.
+    """The encoder cannot encode at these parameters, or never writes this codeword.
 
     Raised by crisscross.message_lengths where rll_suffix.encodable
     cannot certify that every syndrome residue fits the power positions
     of the protected row and column, by rll_suffix.encode when the
     residue of one call overflows them or its output fails the membership
-    check, and by crisscross.encode when its output fails the codeword
-    check.
+    check, by crisscross.encode when its output fails the codeword
+    check, and by rll_suffix.recover_data for a codeword that the 1-D
+    encoder never writes.
     """

@@ -62,17 +62,17 @@ class RllSuffixParams(NamedTuple("RllSuffixParams", [("n", int), ("q", int), ("b
 
 
 class IndexSets(NamedTuple):
-    """Partition of the body positions 1..n used by the encoder.
+    """The reserved body positions of the encoder, and how many others carry data.
 
     power positions: (q-1)^0, (q-1)^1, ... up to n (absorb a base-(q-1) remainder),
     high positions: the three largest non-power indices j1 < j2 < j3
     (absorb the bulk of the syndrome residue greedily), and
-    data positions: everything else, one data symbol each.
+    k: the count of the others, all below j1, which carry one data symbol each.
     """
 
     power: tuple[int, ...]
     high: tuple[int, int, int]
-    data: tuple[int, ...]
+    k: int
 
 
 def int_log_floor(base: int, value: int) -> int:
@@ -116,19 +116,18 @@ def from_digits(digits: Sequence[int], base: int) -> int:
 
 @lru_cache
 def index_sets(n: int, q: int) -> IndexSets:
-    """Split body positions 1..n into power, high and data positions.
+    """The power and high positions of body positions 1..n, and the data count k = n - t - 4.
 
-    The last three non-power positions are the high ones and the rest
-    carry data, which needs n >= t + 5 where t = floor(log_{q-1} n).
+    Data needs n >= t + 5, where t = floor(log_{q-1} n), which is checked
+    first.  The top t + 4 positions hold at most the t + 1 powers, so the
+    three largest non-powers, the high ones, are found among them.
     """
     t = int_log_floor(q - 1, n)
+    if n < t + 5:
+        raise ValueError(f"body length n={n} leaves no data positions (need n >= t + 5 = {t + 5})")
     power = tuple((q - 1) ** i for i in range(t + 1))
-    rest = tuple(sorted(set(range(1, n + 1)).difference(power)))
-    if len(rest) < 4:
-        raise ValueError(
-            f"body length n={n} leaves no data positions (need n >= t + 5 = {t + 5})"
-        )
-    return IndexSets(power, rest[-3:], rest[:-3])
+    high = [j for j in range(n - t - 3, n + 1) if j not in power][-3:]
+    return IndexSets(power, tuple(high), n - t - 4)
 
 
 def _reserved(residue: int, sets: IndexSets, q: int) -> list[int] | None:
@@ -176,20 +175,15 @@ def encode(data: Sequence[int], params: RllSuffixParams) -> list[int]:
     n, m, q, b = params.n, params.m, params.q, params.b
     sets = index_sets(n, q)
     data = vt_core.check_symbols(data, q - 1, "data")
-    if len(data) != len(sets.data):
-        raise ValueError(f"expected {len(sets.data)} data symbols, got {len(data)}")
+    if len(data) != sets.k:
+        raise ValueError(f"expected {sets.k} data symbols, got {len(data)}")
 
-    total = n + m
-    modulus = q * total
-    y = [0] * (total + 1)  # 1-based differential word
-
-    for pos, f in zip(sets.data, data):
-        y[pos] = f + 1
+    y = [f + 1 for f in data]  # the differential word, 0-based
     reserved = sets.high + sets.power
-    for j in reserved:
-        y[j] = 1  # the least value each reserved position takes
-    y[n + 1 :] = vt_core.diff(b, q)
-    residue = -vt_core.syndrome(y[1:]) % modulus
+    for j in sorted(reserved):
+        y.insert(j - 1, 1)  # the least value each reserved position takes
+    y += vt_core.diff(b, q)
+    residue = -vt_core.syndrome(y) % (q * (n + m))
 
     values = _reserved(residue, sets, q)
     if values is None:
@@ -198,9 +192,9 @@ def encode(data: Sequence[int], params: RllSuffixParams) -> list[int]:
             f"at n={n}, m={m}, q={q}"
         )
     for j, e in zip(reserved, values):
-        y[j] = e + 1
+        y[j - 1] = e + 1
 
-    x = vt_core.diff_inverse(y[1:], q)
+    x = vt_core.diff_inverse(y, q)
     if not is_member(x, params):
         raise EncodingError("encoder produced a word outside its own code")
     return x
@@ -254,9 +248,9 @@ def recover_data(x: Sequence[int], params: RllSuffixParams) -> list[int]:
 
     A codeword is 1-RLL, so its differential is nonzero at every body
     position, each data position included: it holds a data symbol plus one.
-    A codeword that encode never writes is refused too: the residue
-    sum(j * (y_j - 1)) over the reserved positions must be below q * length
-    and their values those that _reserved gives for it.
+    ValueError refuses a non-codeword and EncodingError a codeword that
+    encode never writes: the reserved positions' residue sum(j * (y_j - 1))
+    must be below q * length and their values what _reserved gives for it.
     """
     y = _differential(x, params)
     if y is None:
@@ -266,5 +260,6 @@ def recover_data(x: Sequence[int], params: RllSuffixParams) -> list[int]:
     values = [y[j - 1] - 1 for j in reserved]
     residue = sum(map(mul, reserved, values))
     if residue >= params.q * params.length or _reserved(residue, sets, params.q) != values:
-        raise ValueError("input is a codeword that the encoder never writes")
-    return [y[pos - 1] - 1 for pos in sets.data]
+        raise EncodingError("input is a codeword that the encoder never writes")
+    power = sets.power  # every data position is below j1 and not a power
+    return [y[j - 1] - 1 for j in range(1, sets.high[0]) if j not in power]

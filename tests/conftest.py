@@ -14,14 +14,20 @@ so they share no code with the optimized paths they check.  Counts too
 large to enumerate are checked against protected_row_count_dp, a DP
 over a plain list of residue counts.  codewords_over finds every
 codeword over a received array by parity and first_violation alone,
-without the array decoder's locating step.
+without the array decoder's locating step.  run_capped runs code in a
+child process whose address space is capped, so a runaway allocation
+is a MemoryError there rather than a load on the host.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 import tempfile
 from operator import add
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +132,28 @@ BINARY_PAIR_Q = 2
 BINARY_PAIR_FIRST = _SHARED + (_R15, _Z)
 BINARY_PAIR_SECOND = _SHARED + (_Z, _R15)
 BINARY_PAIR_DELETIONS = ((15, 1), (16, 1))
+
+
+#: The address space of a run_capped child, 1 GiB.
+MEMORY_CAP = 1 << 30
+
+
+def run_capped(code: str, *args: str, timeout: float) -> subprocess.CompletedProcess:
+    """Run Python code with args in a child capped at MEMORY_CAP bytes, crisscodec importable."""
+    cap = (
+        "import resource\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        f"soft = {MEMORY_CAP} if hard == resource.RLIM_INFINITY else min({MEMORY_CAP}, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+    )
+    src = Path(crisscross.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-c", cap + code, *args],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
 
 
 def iter_words(n: int, q: int):

@@ -299,8 +299,8 @@ MUTANTS = [
     Mutant(
         "recover-unwritten-word-as-condition",
         "crisscross.py",
-        "if not rll_suffix.is_member(word, code):",
-        "if True:",
+        "except EncodingError:\n            written = False\n        except ValueError as exc:",
+        "except (EncodingError, ValueError) as exc:",
         "killed",
         "tests/test_crisscross.py::TestAdversarialRecover::"
         "test_refuses_a_first_row_the_encoder_never_writes",
@@ -311,6 +311,20 @@ MUTANTS = [
         "last_column_params(params), _CONDITION_2)",
         "last_column_params(params), _CONDITION_1)",
         "killed",
+    ),
+    # The layout is worked out before short data is refused: at n = 10^8
+    # its k3 alone takes minutes.
+    Mutant(
+        "encode-size-check-after-layout",
+        "crisscross.py",
+        "    if len(data) < free_cells(n):  # every message is longer: refused before any layout\n"
+        "        raise ValueError(f\"expected more than {free_cells(n)} data symbols, got {len(data)}\")\n"
+        "    ml = message_lengths(params)\n",
+        "    ml = message_lengths(params)\n"
+        "    if len(data) < free_cells(n):\n"
+        "        raise ValueError(f\"expected more than {free_cells(n)} data symbols, got {len(data)}\")\n",
+        "killed",
+        "tests/test_cli.py::test_encode_at_a_huge_n_exits_2_at_once",
     ),
     Mutant(
         "dp-fold-dropped",
@@ -360,8 +374,8 @@ MUTANTS = [
     Mutant(
         "rll-high-data-split-shifted",
         "rll_suffix.py",
-        "return IndexSets(power, rest[-3:], rest[:-3])",
-        "return IndexSets(power, rest[-4:-1], rest[:-4] + rest[-1:])",
+        "if j not in power][-3:]",
+        "if j not in power][-4:-1]",
         "killed",
     ),
     Mutant(

@@ -202,7 +202,7 @@ def test_acc06_redundancy_bounds():
     row = analysis.analysis_row(9, 7)
     assert row.encoder_redundancy == 32
     assert row.message_length == 49
-    rows = analysis.analyze_range(range(11, 65), [3, 4, 5, 7, 11, 101])
+    rows = [analysis.analysis_row(n, q) for n in range(11, 65) for q in (3, 4, 5, 7, 11, 101)]
     assert len(rows) == 324
     for r in rows:
         assert r.lower_bound - 1e-9 <= r.encoder_redundancy <= r.upper_bound + 1e-9, (

@@ -47,7 +47,8 @@ class TestAnalysisRow:
         assert row.gap == pytest.approx(row.encoder_redundancy - lower)
 
     def test_bounds_hold_on_sample_grid(self):
-        for row in analysis.analyze_range(range(11, 25), [3, 4, 7, 101]):
+        grid = itertools.product(range(11, 25), [3, 4, 7, 101])
+        for row in itertools.starmap(analysis.analysis_row, grid):
             assert row.lower_bound - 1e-9 <= row.encoder_redundancy, (row.n, row.q)
             assert row.encoder_redundancy <= row.upper_bound + 1e-9, (row.n, row.q)
 
@@ -57,17 +58,16 @@ class TestAnalysisRow:
         assert row == plain
         assert json.dumps(row._asdict()) == json.dumps(plain._asdict())
 
+    def test_dimension_bound(self):
+        assert analysis.analysis_row(analysis.MAX_ANALYZE_DIMENSION, 3).n == 4096
+        with pytest.raises(ValueError, match="^array dimension must be <= 4096, got n=4097$"):
+            analysis.analysis_row(4097, 3)
+
     def test_gate_propagates(self):
         with pytest.raises(EncodingError, match="not certified"):
             analysis.analysis_row(10, 3)
         with pytest.raises(ValueError, match="no data room"):
             analysis.analysis_row(8, 3)
-
-
-class TestAnalyzeRange:
-    def test_grid_order(self):
-        rows = analysis.analyze_range(range(11, 13), [3, 5])
-        assert [(r.n, r.q) for r in rows] == [(11, 3), (11, 5), (12, 3), (12, 5)]
 
 
 HEADER = "n,q,k1,k2,k3,message_length,encoder_redundancy,lower_bound,upper_bound,gap"
@@ -79,7 +79,7 @@ class TestReports:
         assert text == HEADER + "\n" + "11,3,2,1,1,80,41,23.365317,41.686949,17.634683\n"
 
     def test_table_alignment(self):
-        rows = analysis.analyze_range(range(11, 14), [3])
+        rows = [analysis.analysis_row(n, 3) for n in range(11, 14)]
         text = analysis.to_table(rows)
         lines = text.splitlines()
         assert len(lines) == 4

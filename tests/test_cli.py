@@ -7,11 +7,12 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from conftest import GOLDEN_ARRAY, GOLDEN_DATA, GOLDEN_RECEIVED_9_9
+from conftest import GOLDEN_ARRAY, GOLDEN_DATA, GOLDEN_RECEIVED_9_9, run_capped
 import crisscodec
 from crisscodec import cli, crisscross, fileio
 from crisscodec.cli import COMMANDS, main
@@ -254,6 +255,14 @@ class TestAnalyze:
         assert len(lines) == 5
         assert lines[1].startswith("11,3,")
 
+    def test_grid_order(self, capsys):
+        # Rows run over q within each n.
+        assert main([
+            "analyze", "--n-min", "11", "--n-max", "12", "--q", "3,5", "--format", "csv",
+        ]) == 0
+        rows = [line.split(",")[:2] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert rows == [["11", "3"], ["11", "5"], ["12", "3"], ["12", "5"]]
+
     def test_table_output_to_file(self, tmp_path):
         out = tmp_path / "table.txt"
         assert main([
@@ -381,6 +390,21 @@ def _run_python(*args):
         text=True,
         timeout=60,
     )
+
+
+def test_encode_at_a_huge_n_exits_2_at_once(tmp_path):
+    # Every message is longer than free_cells(n), so one symbol is refused
+    # before the layout, whose k3 alone would take minutes at this n.
+    data = tmp_path / "data.json"
+    data.write_text(fileio.dumps(ArrayFile("data", 3, 10**8, symbols=[0])))
+    code = "from crisscodec.cli import entry_point\nentry_point()\n"
+    start = time.perf_counter()
+    argv = ["encode", "--n", "100000000", "--q", "3", "--data", str(data)]
+    proc = run_capped(code, *argv, timeout=10)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: expected more than 9999999600000002 data symbols, got 1\n"
+    assert elapsed < 1, elapsed
 
 
 def test_python_dash_m_runs_the_cli():

@@ -41,6 +41,8 @@ GOLDEN_PARAMS = CodeParams(9, 7)
 SMALL_N, SMALL_Q = 5, 8
 SMALL_U = [3, 2, 1, 0, 2]
 SMALL_V = [6, 7, 0, 1, 2]
+# A protected first row at (9, 4) that the encoder never writes.
+UNWRITTEN_ROW_9_4 = [0, 1, 3, 0, 3, 2, 1, 0, 2]
 
 
 def small_codeword(fill):
@@ -125,7 +127,7 @@ class TestMessageLengths:
         # values encode under both codes: the refusal is conservative.
         params = CodeParams(10, 3)
         for code in (crisscross.first_row_params(params), crisscross.last_column_params(params)):
-            assert len(rll_suffix.index_sets(code.n, code.q).data) == 1
+            assert rll_suffix.index_sets(code.n, code.q).k == 1
             for digit in (0, 1):
                 x = rll_suffix.encode([digit], code)
                 assert rll_suffix.recover_data(x, code) == [digit]
@@ -608,7 +610,7 @@ class TestAdversarialDecode:
         params = CodeParams(8, 7)
         u = rll_suffix.encode([5], crisscross.first_row_params(params))
         v = rll_suffix.encode([5], crisscross.last_column_params(params))
-        fill = [random.Random(8).randrange(7) for _ in range(crisscross.free_cells(8))]
+        fill = random.Random(8).choices(range(7), k=crisscross.free_cells(8))
         X = build_structural_codeword(8, 7, u, v, fill)
         with pytest.raises(ValueError, match="outside the encoder image"):
             crisscross.recover_data(X, params)
@@ -669,10 +671,9 @@ class TestAdversarialRecover:
         # encoder writes for their residue: it writes [2, 1, 3, 1, 0, 2, 1, 0, 2]
         # for the data digits this row carries.
         params = CodeParams(9, 4)
-        u = [0, 1, 3, 0, 3, 2, 1, 0, 2]
         v = rll_suffix.encode([0], crisscross.last_column_params(params))
         fill = random.Random(9).choices(range(4), k=crisscross.free_cells(9))
-        X = build_structural_codeword(9, 4, u, v, fill)
+        X = build_structural_codeword(9, 4, UNWRITTEN_ROW_9_4, v, fill)
         assert crisscross.first_violation(X, params) is None
         message = "^protected row/column carry a value outside the encoder image$"
         with pytest.raises(ValueError, match=message):
@@ -750,8 +751,13 @@ class TestInputBoundary:
 
     def test_each_protected_word_is_read_once_and_decode_checks_once(self, monkeypatch):
         # recover_data checks and reads each protected word in one 1-D pass,
-        # which takes its one differential, and decode runs one full
+        # which takes its one differential, also when it refuses a first
+        # row that the encoder never writes, and decode runs one full
         # first_violation, on its own output.
+        params = CodeParams(9, 4)
+        v = rll_suffix.encode([0], crisscross.last_column_params(params))
+        fill = random.Random(9).choices(range(4), k=crisscross.free_cells(9))
+        unwritten = build_structural_codeword(9, 4, UNWRITTEN_ROW_9_4, v, fill)
         words, checked = [], []
         real_diff, real_violation = vt_core.diff, crisscross.first_violation
 
@@ -767,6 +773,10 @@ class TestInputBoundary:
         monkeypatch.setattr(crisscross, "first_violation", violation_spy)
         assert crisscross.recover_data(GOLDEN_ARRAY, GOLDEN_PARAMS) == GOLDEN_DATA
         assert words == [GOLDEN_ARRAY[0], crisscross.reversed_last_column(GOLDEN_ARRAY)]
+        words.clear()
+        with pytest.raises(ValueError, match="outside the encoder image"):
+            crisscross.recover_data(unwritten, params)
+        assert words == [UNWRITTEN_ROW_9_4, v]
         X = crisscross.decode(GOLDEN_RECEIVED_9_9, GOLDEN_PARAMS)
         assert len(checked) == 1 and checked[0] is X
 

@@ -1,10 +1,12 @@
 """Package import surface, no public name that only the tests call, no stale doc
-reference, and a test configuration that reports a failing Hypothesis test."""
+reference, no allocation that grows with n before a call checks its input, and a
+test configuration that reports a failing Hypothesis test."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -12,6 +14,7 @@ import sys
 from pathlib import Path
 
 import crisscodec
+from conftest import run_capped
 
 SRC = Path(crisscodec.__file__).resolve().parent
 PERFBENCH = SRC.parents[1] / "perfbench"
@@ -33,6 +36,45 @@ def test_importing_the_codec_does_not_load_numpy():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+#: Calls at an n far beyond any layout that can be built, and what each must do.
+HUGE_N_CALLS = {
+    "rll_suffix.index_sets(10**12, 3)": "returned",
+    "rll_suffix.encodable(10**12, 2, 3)": "returned",
+    "rll_suffix.encode([0], RllSuffixParams(10**8, 3, (0, 2)))": "ValueError",
+    "crisscross.encode([0], CodeParams(10**8, 3))": "ValueError",
+    "crisscross.recover_data([[0]], CodeParams(10**8, 3))": "ValueError",
+    "analysis.analysis_row(10**40, 3)": "ValueError",
+}
+
+
+def test_huge_n_is_answered_or_refused_at_once():
+    # Each call reads only its own input and O(log n) reserved positions,
+    # so it ends well within 0.1 s, and a 1 GiB address space, either way.
+    code = (
+        "import json, sys, time\n"
+        "from crisscodec import analysis, crisscross, rll_suffix\n"
+        "from crisscodec.crisscross import CodeParams\n"
+        "from crisscodec.errors import CodecError\n"
+        "from crisscodec.rll_suffix import RllSuffixParams\n"
+        "for call in sys.argv[1:]:\n"
+        "    start = time.perf_counter()\n"
+        "    try:\n"
+        "        eval(call)\n"
+        "        outcome = 'returned'\n"
+        "    except (ValueError, CodecError) as exc:\n"
+        "        outcome = type(exc).__name__\n"
+        "    except BaseException as exc:\n"
+        "        outcome = 'leaked ' + type(exc).__name__\n"
+        "    print(json.dumps([call, outcome, time.perf_counter() - start]), flush=True)\n"
+    )
+    proc = run_capped(code, *HUGE_N_CALLS, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert {call: outcome for call, outcome, _ in results} == HUGE_N_CALLS
+    slow = {call: seconds for call, _, seconds in results if seconds >= 0.1}
+    assert not slow, slow
 
 
 #: What `import crisscodec` adds to sys.modules in an interpreter started as

@@ -58,13 +58,11 @@ class TestParams:
 
 class TestIndexSets:
     def test_golden(self):
-        assert rll_suffix.index_sets(7, 7) == ((1, 6), (4, 5, 7), (2, 3))
-        assert rll_suffix.index_sets(12, 3) == (
-            (1, 2, 4, 8),
-            (10, 11, 12),
-            (3, 5, 6, 7, 9),
-        )
-        assert rll_suffix.index_sets(8, 9) == ((1, 8), (5, 6, 7), (2, 3, 4))
+        # (power, high, k): the data positions are the k others, (2, 3),
+        # (3, 5, 6, 7, 9) and (2, 3, 4).
+        assert rll_suffix.index_sets(7, 7) == ((1, 6), (4, 5, 7), 2)
+        assert rll_suffix.index_sets(12, 3) == ((1, 2, 4, 8), (10, 11, 12), 5)
+        assert rll_suffix.index_sets(8, 9) == ((1, 8), (5, 6, 7), 3)
 
     def test_too_small(self):
         # One refusal: fewer than four non-power positions, i.e. n < t + 5.
@@ -75,7 +73,7 @@ class TestIndexSets:
                     with pytest.raises(ValueError, match=f"^body length n={n} leaves no data"):
                         rll_suffix.index_sets(n, q)
                 else:
-                    assert len(rll_suffix.index_sets(n, q).data) == n - t - 4 >= 1
+                    assert rll_suffix.index_sets(n, q).k == n - t - 4 >= 1
         with pytest.raises(ValueError, match="^base must be >= 2"):
             rll_suffix.index_sets(7, 2)  # alphabet below 3
         with pytest.raises(ValueError, match="^value must be >= 1"):
@@ -83,22 +81,21 @@ class TestIndexSets:
 
     def test_partition_properties(self):
         for q in (3, 4, 5, 7, 11):
-            for n in range(8, 41):
-                power, high, data = rll_suffix.index_sets(n, q)
+            # A power of q - 1 just below n puts it among the top positions.
+            for n in [*range(8, 41), *((q - 1) ** 4 + d for d in range(5))]:
+                power, high, k = rll_suffix.index_sets(n, q)
                 t = len(power) - 1
                 assert (q - 1) ** t <= n < (q - 1) ** (t + 1)
                 assert power == tuple((q - 1) ** i for i in range(t + 1))
-                assert len(high) == 3
                 non_power = [i for i in range(n, 0, -1) if i not in set(power)]
-                assert sorted(non_power[:3]) == list(high)
-                everything = sorted(power + high + data)
-                assert everything == list(range(1, n + 1))
-                assert len(data) == n - t - 4
-                assert len(data) >= 1
+                assert high == tuple(sorted(non_power[:3]))
+                data = non_power[3:]
+                assert len(data) == k == n - t - 4 >= 1
+                assert max(data) < high[0]
 
     def test_data_length_small_binary_body(self):
         # floor(log_2 8) = 3, so a body of 8 over q=3 carries one symbol.
-        assert len(rll_suffix.index_sets(8, 3).data) == 1
+        assert rll_suffix.index_sets(8, 3).k == 1
 
 
 class TestEncode:
@@ -168,7 +165,7 @@ class TestEncode:
         assert len(seen) == 32  # encoding is injective
 
     def test_round_trip_nonzero_residue(self):
-        width = len(rll_suffix.index_sets(12, 5).data)
+        width = rll_suffix.index_sets(12, 5).k
         residues = set()
         for suffix in rll_words(3, 5):
             params = RllSuffixParams(12, 5, suffix)
@@ -212,7 +209,7 @@ class TestEncode:
     def test_output_failing_membership_is_encoding_error(self, monkeypatch):
         monkeypatch.setattr(rll_suffix, "is_member", lambda x, params: False)
         with pytest.raises(EncodingError, match="outside its own code"):
-            rll_suffix.encode([0] * len(rll_suffix.index_sets(7, 7).data), GOLDEN_PARAMS)
+            rll_suffix.encode([0] * rll_suffix.index_sets(7, 7).k, GOLDEN_PARAMS)
 
 
 def greedy_overflows(n, m, q):
@@ -345,7 +342,7 @@ class TestRecoverData:
         # At (9, 4) the encoder writes 9 of the 36 protected first rows and
         # 3 of the 34 reversed last columns; recover_data refuses the rest.
         for code in (first_row_params(CodeParams(n, q)), last_column_params(CodeParams(n, q))):
-            width = len(rll_suffix.index_sets(code.n, q).data)
+            width = rll_suffix.index_sets(code.n, q).k
             outputs = {
                 tuple(rll_suffix.encode(list(data), code))
                 for data in itertools.product(range(q - 1), repeat=width)
@@ -354,7 +351,7 @@ class TestRecoverData:
             for x in enumerate_protected_words(code.length, q, code.b):
                 try:
                     rll_suffix.recover_data(x, code)
-                except ValueError as exc:
+                except EncodingError as exc:
                     assert str(exc) == "input is a codeword that the encoder never writes"
                     continue
                 accepted.add(tuple(x))
