@@ -32,14 +32,11 @@ one pass counts its plain-int entries and one collects their distinct
 values.  Only if that fails is it checked row by row, which coerces
 other integer types (numpy's, say), rejects bool and names the first
 bad entry as `row r[k]`, a 1-based row r and a 0-based entry k.  The
-sum conditions 4 and 5 are C-level passes too.  `recover_data` reads
-each protected word once: the 1-D recovery that reads its digits is
-also its condition 1 or 2 check, and its EncodingError refuses one
-that the 1-D encoder never writes.  No public function mutates the
-arrays it is given.  The encoder checks the alphabet of the parity
-entries it computed before it checks the codeword conditions.  The
-decoder runs the full `first_violation` on its output and reports any
-failure there, a rebuilt entry outside the alphabet included, as
+sum conditions 4 and 5 are C-level passes too.  No public function
+mutates the arrays it is given.  The encoder checks the alphabet of the
+parity entries it computed before it checks the codeword conditions.
+The decoder runs the full `first_violation` on its output and reports
+any failure there, a rebuilt entry outside the alphabet included, as
 DecodingError; that is what guarantees that it never returns a
 non-codeword.
 """
@@ -143,7 +140,7 @@ def _unsized_part(X: object) -> str:
     return f"got {type(X).__name__}"
 
 
-def reversed_last_column(X: Sequence[Sequence[int]]) -> list[int]:
+def _reversed_last_column(X: Sequence[Sequence[int]]) -> list[int]:
     """Last column of X read bottom to top."""
     return [row[-1] for row in reversed(X)]
 
@@ -203,7 +200,7 @@ def _violation(X: Sequence[Sequence[int]], params: CodeParams) -> str | None:
     """first_violation for an array already known to have the right shape and alphabet."""
     if not rll_suffix.is_member(X[0], first_row_params(params)):
         return _CONDITION_1
-    if not rll_suffix.is_member(reversed_last_column(X), last_column_params(params)):
+    if not rll_suffix.is_member(_reversed_last_column(X), last_column_params(params)):
         return _CONDITION_2
     return _unprotected_violation(X, params)
 
@@ -260,19 +257,18 @@ def message_lengths(params: CodeParams) -> MessageLengths:
 
     The one parameter gate of encode and recover_data: raises ValueError
     when the layout leaves no data room in the protected row or column
-    (every n < 8), and EncodingError unless rll_suffix.encodable
-    certifies both protected codes.
+    (every n < 8), and EncodingError unless rll_suffix.data_length
+    certifies both protected codes.  No room outranks no certificate.
     """
     n, q = params.n, params.q
-    row, col = first_row_params(params), last_column_params(params)
     try:
-        k1 = rll_suffix.index_sets(row.n, q).k
-        k2 = rll_suffix.index_sets(col.n, q).k
+        k2 = rll_suffix.data_length(last_column_params(params))
+        k1 = rll_suffix.data_length(first_row_params(params))
     except ValueError:
         raise ValueError(
             f"parameters n={n}, q={q} leave no data room in the protected row/column"
         ) from None
-    if not (rll_suffix.encodable(row.n, row.m, q) and rll_suffix.encodable(col.n, col.m, q)):
+    if k1 is None or k2 is None:
         raise EncodingError(
             f"the encoder is not certified at n={n}, q={q}: a syndrome residue "
             f"can overflow the power positions of the protected row or column"
@@ -343,7 +339,7 @@ def _locate(work: Array, rows: list[int], cols: list[int], params: CodeParams) -
     """
     n = params.n
     last_column_deleted = work[0][-1] < work[1][-1]
-    v = rows[::-1] if last_column_deleted else reversed_last_column(work)
+    v = rows[::-1] if last_column_deleted else _reversed_last_column(work)
     i = 0  # until the deleted row is located
     try:
         i = n + 1 - rll_suffix.decode(v, last_column_params(params)).position
@@ -402,7 +398,7 @@ def recover_data(X: Sequence[Sequence[int]], params: CodeParams) -> list[int]:
     written = True
     for word, code, condition in (
         (X[0], first_row_params(params), _CONDITION_1),
-        (reversed_last_column(X), last_column_params(params), _CONDITION_2),
+        (_reversed_last_column(X), last_column_params(params), _CONDITION_2),
     ):
         try:
             digits += rll_suffix.recover_data(word, code)

@@ -12,7 +12,7 @@ class DecodingError(CodecError):
 class EncodingError(CodecError):
     """The encoder cannot encode at these parameters, or never writes this codeword.
 
-    Raised by crisscross.message_lengths where rll_suffix.encodable
+    Raised by crisscross.message_lengths where rll_suffix.data_length
     cannot certify that every syndrome residue fits the power positions
     of the protected row and column, by rll_suffix.encode when the
     residue of one call overflows them or its output fails the membership

@@ -70,7 +70,7 @@ def loads(text: str) -> ArrayFile:
     """Parse and validate one codec file from its JSON text."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, TypeError) as exc:  # TypeError: neither str nor bytes
         raise ValueError(f"not valid JSON: {exc}") from exc
     except RecursionError:
         raise ValueError("not valid JSON: nested too deeply") from None
@@ -91,6 +91,8 @@ def dumps(f: ArrayFile) -> str:
     ArrayFile holds plain ints only, so the repr of a list of them is
     its JSON text.
     """
+    if not isinstance(f, ArrayFile):
+        raise ValueError(f"expected an ArrayFile, got {type(f).__name__}")
     lines = [
         "{",
         f'  "kind": "{f.kind}",',

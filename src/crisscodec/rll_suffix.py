@@ -61,7 +61,7 @@ class RllSuffixParams(NamedTuple("RllSuffixParams", [("n", int), ("q", int), ("b
         return self.n + self.m
 
 
-class IndexSets(NamedTuple):
+class _IndexSets(NamedTuple):
     """The reserved body positions of the encoder, and how many others carry data.
 
     power positions: (q-1)^0, (q-1)^1, ... up to n (absorb a base-(q-1) remainder),
@@ -115,7 +115,7 @@ def from_digits(digits: Sequence[int], base: int) -> int:
 
 
 @lru_cache
-def index_sets(n: int, q: int) -> IndexSets:
+def _index_sets(n: int, q: int) -> _IndexSets:
     """The power and high positions of body positions 1..n, and the data count k = n - t - 4.
 
     Data needs n >= t + 5, where t = floor(log_{q-1} n), which is checked
@@ -127,10 +127,10 @@ def index_sets(n: int, q: int) -> IndexSets:
         raise ValueError(f"body length n={n} leaves no data positions (need n >= t + 5 = {t + 5})")
     power = tuple((q - 1) ** i for i in range(t + 1))
     high = [j for j in range(n - t - 3, n + 1) if j not in power][-3:]
-    return IndexSets(power, tuple(high), n - t - 4)
+    return _IndexSets(power, tuple(high), n - t - 4)
 
 
-def _reserved(residue: int, sets: IndexSets, q: int) -> list[int] | None:
+def _reserved(residue: int, sets: _IndexSets, q: int) -> list[int] | None:
     """The values, less one, that encode writes at the reserved positions
     sets.high + sets.power for this syndrome residue: greedy ones at the
     high positions, then the base-(q-1) digits of the remainder, or None
@@ -147,8 +147,8 @@ def _reserved(residue: int, sets: IndexSets, q: int) -> list[int] | None:
 
 
 @lru_cache
-def encodable(n: int, m: int, q: int) -> bool:
-    """True iff encode cannot overflow the power positions at body n, suffix length m, alphabet q.
+def data_length(params: RllSuffixParams) -> int | None:
+    """The count k of data symbols that encode takes, or None if a residue can overflow.
 
     Whether _reserved overflows depends only on the syndrome residue, so
     this certifies every residue in [0, q(n+m)), hence every suffix and
@@ -158,22 +158,23 @@ def encodable(n: int, m: int, q: int) -> bool:
     fits, because the capacity of the power positions exceeds n.  So the
     remainder can overflow only if it overflows at the largest residue,
     and one _reserved call at that residue decides.  Raises ValueError
-    when the index sets do not exist.
+    when the body has no data positions.
     """
-    return _reserved(q * (n + m) - 1, index_sets(n, q), q) is not None
+    sets = _index_sets(params.n, params.q)
+    return None if _reserved(params.q * params.length - 1, sets, params.q) is None else sets.k
 
 
 def encode(data: Sequence[int], params: RllSuffixParams) -> list[int]:
     """Encode data symbols into a codeword of RLL_DVT_0(n, m; b).
 
-    Data symbols live in {0, ..., q-2}, one per index_sets(n, q) data
-    position.  Where encodable(n, m, q) is False the residue left for the
-    power positions may overflow them, in which case EncodingError is
-    raised; the output is always validated against is_member before
-    being returned, and EncodingError is raised if it fails.
+    Data symbols live in {0, ..., q-2}, one per data position.  Where
+    data_length(params) is None the residue left for the power positions
+    may overflow them, in which case EncodingError is raised; the output
+    is always validated against is_member before being returned, and
+    EncodingError is raised if it fails.
     """
     n, m, q, b = params.n, params.m, params.q, params.b
-    sets = index_sets(n, q)
+    sets = _index_sets(n, q)
     data = vt_core.check_symbols(data, q - 1, "data")
     if len(data) != sets.k:
         raise ValueError(f"expected {sets.k} data symbols, got {len(data)}")
@@ -255,7 +256,7 @@ def recover_data(x: Sequence[int], params: RllSuffixParams) -> list[int]:
     y = _differential(x, params)
     if y is None:
         raise ValueError("input is not a codeword of this code")
-    sets = index_sets(params.n, params.q)
+    sets = _index_sets(params.n, params.q)
     reserved = sets.high + sets.power
     values = [y[j - 1] - 1 for j in reserved]
     residue = sum(map(mul, reserved, values))

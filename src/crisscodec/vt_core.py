@@ -97,7 +97,7 @@ def diff(x: Sequence[int], q: int) -> list[int]:
             raise ValueError("cannot transform an empty sequence")
         y = list(map(mod, map(sub, x, islice(x, 1, None)), repeat(q)))
         y.append(x[-1])
-    except TypeError:
+    except (TypeError, LookupError):
         raise _not_integers(x) from None
     return y
 
@@ -113,7 +113,7 @@ def diff_inverse(y: Sequence[int], q: int) -> list[int]:
         for i in range(len(y) - 2, -1, -1):
             running = (running + y[i]) % q
             x[i] = running
-    except TypeError:
+    except (TypeError, LookupError):
         raise _not_integers(y) from None
     return x
 

@@ -198,7 +198,7 @@ def encode_intermediates(x, n: int, q: int) -> dict:
     is the sum of e * j plus the remainder.
     """
     y = [None] + diff_loop(x, q)  # 1-based
-    sets = rll_suffix.index_sets(n, q)
+    sets = rll_suffix._index_sets(n, q)
     greedy = tuple(y[j] - 1 for j in sets.high)
     digits = tuple(y[p] - 1 for p in sets.power)
     remainder = sum(h * (q - 1) ** i for i, h in enumerate(digits))

@@ -312,6 +312,20 @@ MUTANTS = [
         "last_column_params(params), _CONDITION_1)",
         "killed",
     ),
+    # At (9, 3) the row has data room but no certificate, and the column
+    # has no room.  A gate that raised for no certificate would then refuse
+    # the point as uncertified when the row goes first; test_proven_range_gate
+    # pins "no data room" there.
+    Mutant(
+        "message-lengths-row-first",
+        "crisscross.py",
+        "        k2 = rll_suffix.data_length(last_column_params(params))\n"
+        "        k1 = rll_suffix.data_length(first_row_params(params))\n",
+        "        k1 = rll_suffix.data_length(first_row_params(params))\n"
+        "        k2 = rll_suffix.data_length(last_column_params(params))\n",
+        "equivalent: data_length returns None for no certificate, so both calls"
+        " run before the None test and no room wins in either order",
+    ),
     # The layout is worked out before short data is refused: at n = 10^8
     # its k3 alone takes minutes.
     Mutant(

@@ -104,9 +104,13 @@ class TestMessageLengths:
         # and at n = 8, q = 3 the protected row has no free symbols.
         with pytest.raises(ValueError, match="no data room"):
             crisscross.message_lengths(CodeParams(8, 3))
+        # At (9, 3) the row has room but no certificate, and the column has
+        # no room: no room outranks no certificate.
+        with pytest.raises(ValueError, match="no data room"):
+            crisscross.message_lengths(CodeParams(9, 3))
 
     def test_one_int_log_floor_per_call(self, monkeypatch):
-        # The split comes from the cached index_sets; only k3 takes a logarithm.
+        # The split comes from the cached data_length; only k3 takes a logarithm.
         original, calls = rll_suffix.int_log_floor, []
 
         def spy(base, value):
@@ -127,7 +131,7 @@ class TestMessageLengths:
         # values encode under both codes: the refusal is conservative.
         params = CodeParams(10, 3)
         for code in (crisscross.first_row_params(params), crisscross.last_column_params(params)):
-            assert rll_suffix.index_sets(code.n, code.q).k == 1
+            assert rll_suffix._index_sets(code.n, code.q).k == 1
             for digit in (0, 1):
                 x = rll_suffix.encode([digit], code)
                 assert rll_suffix.recover_data(x, code) == [digit]
@@ -772,7 +776,7 @@ class TestInputBoundary:
         monkeypatch.setattr(vt_core, "diff", diff_spy)
         monkeypatch.setattr(crisscross, "first_violation", violation_spy)
         assert crisscross.recover_data(GOLDEN_ARRAY, GOLDEN_PARAMS) == GOLDEN_DATA
-        assert words == [GOLDEN_ARRAY[0], crisscross.reversed_last_column(GOLDEN_ARRAY)]
+        assert words == [GOLDEN_ARRAY[0], [row[-1] for row in reversed(GOLDEN_ARRAY)]]
         words.clear()
         with pytest.raises(ValueError, match="outside the encoder image"):
             crisscross.recover_data(unwritten, params)

@@ -241,8 +241,13 @@ class TestValidation:
 
 class TestLoads:
     def test_rejects_bad_json(self):
-        with pytest.raises(ValueError, match="JSON"):
-            fileio.loads("{not json")
+        for text in ("{not json", 3):  # json.loads raises TypeError for 3
+            with pytest.raises(ValueError, match="not valid JSON"):
+                fileio.loads(text)
+
+    def test_dumps_rejects_what_is_not_an_array_file(self):
+        with pytest.raises(ValueError, match="expected an ArrayFile, got int"):
+            fileio.dumps(3)
 
     def test_rejects_non_object(self):
         with pytest.raises(ValueError, match="object"):

@@ -40,8 +40,7 @@ def test_importing_the_codec_does_not_load_numpy():
 
 #: Calls at an n far beyond any layout that can be built, and what each must do.
 HUGE_N_CALLS = {
-    "rll_suffix.index_sets(10**12, 3)": "returned",
-    "rll_suffix.encodable(10**12, 2, 3)": "returned",
+    "rll_suffix.data_length(RllSuffixParams(10**12, 3, (0, 2)))": "returned",
     "rll_suffix.encode([0], RllSuffixParams(10**8, 3, (0, 2)))": "ValueError",
     "crisscross.encode([0], CodeParams(10**8, 3))": "ValueError",
     "crisscross.recover_data([[0]], CodeParams(10**8, 3))": "ValueError",

@@ -60,9 +60,9 @@ class TestIndexSets:
     def test_golden(self):
         # (power, high, k): the data positions are the k others, (2, 3),
         # (3, 5, 6, 7, 9) and (2, 3, 4).
-        assert rll_suffix.index_sets(7, 7) == ((1, 6), (4, 5, 7), 2)
-        assert rll_suffix.index_sets(12, 3) == ((1, 2, 4, 8), (10, 11, 12), 5)
-        assert rll_suffix.index_sets(8, 9) == ((1, 8), (5, 6, 7), 3)
+        assert rll_suffix._index_sets(7, 7) == ((1, 6), (4, 5, 7), 2)
+        assert rll_suffix._index_sets(12, 3) == ((1, 2, 4, 8), (10, 11, 12), 5)
+        assert rll_suffix._index_sets(8, 9) == ((1, 8), (5, 6, 7), 3)
 
     def test_too_small(self):
         # One refusal: fewer than four non-power positions, i.e. n < t + 5.
@@ -71,19 +71,19 @@ class TestIndexSets:
                 t = rll_suffix.int_log_floor(q - 1, n)
                 if n < t + 5:
                     with pytest.raises(ValueError, match=f"^body length n={n} leaves no data"):
-                        rll_suffix.index_sets(n, q)
+                        rll_suffix._index_sets(n, q)
                 else:
-                    assert rll_suffix.index_sets(n, q).k == n - t - 4 >= 1
+                    assert rll_suffix._index_sets(n, q).k == n - t - 4 >= 1
         with pytest.raises(ValueError, match="^base must be >= 2"):
-            rll_suffix.index_sets(7, 2)  # alphabet below 3
+            rll_suffix._index_sets(7, 2)  # alphabet below 3
         with pytest.raises(ValueError, match="^value must be >= 1"):
-            rll_suffix.index_sets(0, 3)  # empty body
+            rll_suffix._index_sets(0, 3)  # empty body
 
     def test_partition_properties(self):
         for q in (3, 4, 5, 7, 11):
             # A power of q - 1 just below n puts it among the top positions.
             for n in [*range(8, 41), *((q - 1) ** 4 + d for d in range(5))]:
-                power, high, k = rll_suffix.index_sets(n, q)
+                power, high, k = rll_suffix._index_sets(n, q)
                 t = len(power) - 1
                 assert (q - 1) ** t <= n < (q - 1) ** (t + 1)
                 assert power == tuple((q - 1) ** i for i in range(t + 1))
@@ -95,7 +95,7 @@ class TestIndexSets:
 
     def test_data_length_small_binary_body(self):
         # floor(log_2 8) = 3, so a body of 8 over q=3 carries one symbol.
-        assert rll_suffix.index_sets(8, 3).k == 1
+        assert rll_suffix.data_length(RllSuffixParams(8, 3, (0,))) == 1
 
 
 class TestEncode:
@@ -112,9 +112,9 @@ class TestEncode:
         # The range is computed: both points a fixed floor (body >= 8,
         # suffix <= 3) once refused are certified, so every residue encodes.
         # The messages and suffixes below reach all 3 * 16 residues.
-        assert rll_suffix.encodable(7, 2, 7)
+        assert rll_suffix.data_length(GOLDEN_PARAMS) == 2
         assert rll_suffix.encode([0, 3], GOLDEN_PARAMS) == GOLDEN_CODEWORD_1D
-        assert rll_suffix.encodable(12, 4, 3)
+        assert rll_suffix.data_length(RllSuffixParams(12, 3, (0, 1, 0, 1))) == 5
         residues = set()
         for suffix in rll_words(4, 3):
             params = RllSuffixParams(12, 3, suffix)
@@ -165,7 +165,7 @@ class TestEncode:
         assert len(seen) == 32  # encoding is injective
 
     def test_round_trip_nonzero_residue(self):
-        width = rll_suffix.index_sets(12, 5).k
+        width = rll_suffix._index_sets(12, 5).k
         residues = set()
         for suffix in rll_words(3, 5):
             params = RllSuffixParams(12, 5, suffix)
@@ -182,8 +182,8 @@ class TestEncode:
         # residue that this suffix and message leave: the greedy high values
         # take 18 of its 35, and 17 is above the power positions' 15.
         # Another suffix fits.
-        assert not rll_suffix.encodable(8, 4, 3)
         params = RllSuffixParams(8, 3, (1, 2, 0, 2))
+        assert rll_suffix.data_length(params) is None
         with pytest.raises(EncodingError, match="residue 35 exceeds .* capacity"):
             rll_suffix.encode([0], params)
         params = RllSuffixParams(8, 3, (0, 1, 0, 1))
@@ -209,12 +209,12 @@ class TestEncode:
     def test_output_failing_membership_is_encoding_error(self, monkeypatch):
         monkeypatch.setattr(rll_suffix, "is_member", lambda x, params: False)
         with pytest.raises(EncodingError, match="outside its own code"):
-            rll_suffix.encode([0] * rll_suffix.index_sets(7, 7).k, GOLDEN_PARAMS)
+            rll_suffix.encode([0] * rll_suffix.data_length(GOLDEN_PARAMS), GOLDEN_PARAMS)
 
 
 def greedy_overflows(n, m, q):
     """True iff the greedy pass overflows for some residue, by trying every one."""
-    power, high, _ = rll_suffix.index_sets(n, q)
+    power, high, _ = rll_suffix._index_sets(n, q)
     for residue in range(q * (n + m)):
         for j in high:
             residue -= min(q - 2, residue // j) * j
@@ -223,21 +223,23 @@ def greedy_overflows(n, m, q):
     return False
 
 
-class TestEncodable:
+class TestDataLength:
     def test_matches_every_residue(self):
+        # The certificate reads the suffix only through its length m.
         seen = set()
         for n in range(5, 31):
             for q in range(3, 21):
                 for m in (1, 2, 3, 4):
+                    params = RllSuffixParams(n, q, (0, 1, 0, 1)[:m])
                     try:
-                        rll_suffix.index_sets(n, q)
+                        k = rll_suffix._index_sets(n, q).k
                     except ValueError:
-                        with pytest.raises(ValueError):
-                            rll_suffix.encodable(n, m, q)
+                        with pytest.raises(ValueError, match="leaves no data positions"):
+                            rll_suffix.data_length(params)
                         continue
-                    expected = not greedy_overflows(n, m, q)
-                    assert rll_suffix.encodable(n, m, q) == expected, (n, m, q)
-                    seen.add(expected)
+                    expected = None if greedy_overflows(n, m, q) else k
+                    assert rll_suffix.data_length(params) == expected, (n, m, q)
+                    seen.add(expected is None)
         assert seen == {True, False}
 
 
@@ -342,7 +344,7 @@ class TestRecoverData:
         # At (9, 4) the encoder writes 9 of the 36 protected first rows and
         # 3 of the 34 reversed last columns; recover_data refuses the rest.
         for code in (first_row_params(CodeParams(n, q)), last_column_params(CodeParams(n, q))):
-            width = rll_suffix.index_sets(code.n, q).k
+            width = rll_suffix._index_sets(code.n, q).k
             outputs = {
                 tuple(rll_suffix.encode(list(data), code))
                 for data in itertools.product(range(q - 1), repeat=width)

@@ -105,6 +105,8 @@ class TestCheckSymbols:
             (vt_core.syndrome, (5,)),
             (vt_core.diff_inverse, ([1, "a"], 3)),
             (vt_core.diff_inverse, (5, 3)),
+            (vt_core.diff, ({"a": 1}, 3)),
+            (vt_core.diff_inverse, ({"a": 1}, 3)),
         ],
     )
     def test_unchecked_kernels_refuse_a_non_word_with_value_error(self, kernel, args):
